@@ -1,6 +1,8 @@
-"""Exact dense linear algebra over rationals for small matrices.
+"""Exact linear algebra over rationals for small matrices.
 
-Matrices are lists of rows of ``fractions.Fraction``. Everything is exact;
+Dense matrices are lists of rows of ``fractions.Fraction``; the sparse
+integer elimination ``integer_rref`` works on rows stored as
+``{column: int}`` dicts. Everything is exact;
 the optional ``float`` rank backend (numpy SVD with a relative cutoff) exists
 for exploratory runs and never feeds a certification path.
 """
@@ -15,6 +17,7 @@ import numpy as np
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+SparseRow = dict[int, int]  # column -> nonzero integer entry
 
 RANK_BACKENDS = ("exact", "float")
 FLOAT_RANK_CUTOFF = 1e-9
@@ -80,14 +83,6 @@ def mat_mul(a, b) -> Matrix:
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def mat_add(a, b) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s: Fraction) -> Matrix:
-    return [[x * s for x in row] for row in a]
-
-
 def hstack(*mats) -> Matrix:
     mats = [m for m in mats if m]
     if not mats:
@@ -96,19 +91,6 @@ def hstack(*mats) -> Matrix:
     if any(len(m) != nrows for m in mats):
         raise ValueError("hstack: row counts differ")
     return [sum((list(m[i]) for m in mats), []) for i in range(nrows)]
-
-
-def vstack(*mats) -> Matrix:
-    out: Matrix = []
-    for m in mats:
-        out.extend(list(row) for row in m)
-    return out
-
-
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(tuple(ra) == tuple(rb) for ra, rb in zip(a, b))
 
 
 def is_zero_matrix(m) -> bool:
@@ -270,3 +252,61 @@ def solve_affine(a, b, ncols: int | None = None) -> tuple[Vector, list[Vector]] 
             v[pc] = -red[r][f]
         basis.append(v)
     return particular, basis
+
+
+def _combine(row: SparseRow, prow: SparseRow, c: int) -> SparseRow:
+    # integer combination of row and prow that cancels column c, gcd-normalised
+    g = math.gcd(row[c], prow[c])
+    fr, fp = prow[c] // g, row[c] // g
+    out = {k: fr * v for k, v in row.items()}
+    for k, v in prow.items():
+        x = out.get(k, 0) - fp * v
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
+    return _normalise(out)
+
+
+def _normalise(row: SparseRow) -> SparseRow:
+    # divide by the gcd of the entries; the leading entry becomes positive
+    if not row:
+        return row
+    g = math.gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def integer_rref(
+    rows, rhs_col: int, pivots: dict[int, SparseRow] | None = None
+) -> dict[int, SparseRow] | None:
+    """Exact sparse Gauss-Jordan over the integers; None if the system is inconsistent.
+
+    A row is a dict ``{column: nonzero int}`` in which column ``rhs_col``
+    (larger than every unknown's column) holds the right-hand side. The rows
+    are reduced into ``pivots``, a map from pivot column to its row, which is
+    copied and never modified, so one reduced prefix can seed many systems.
+    The result is fully reduced: no row has an entry in another row's pivot
+    column. Every combination is fraction-free and divided by the gcd of its
+    entries (the exactness idea of Bareiss elimination), so dividing each row
+    by its pivot gives the unique reduced row echelon form over the
+    rationals. Returns None as soon as a row reduces to ``0 = b`` with
+    ``b != 0``.
+    """
+    piv = dict(pivots) if pivots else {}
+    for row in rows:
+        for c in [c for c in row if c in piv]:
+            # pivot rows are fully reduced, so this brings in no other pivot column
+            row = _combine(row, piv[c], c)
+        if not row:
+            continue
+        lead = min(row)
+        if lead == rhs_col:
+            return None
+        row = _normalise(row)
+        for pc, prow in list(piv.items()):
+            if lead in prow:
+                piv[pc] = _combine(prow, row, lead)
+        piv[lead] = row
+    return piv

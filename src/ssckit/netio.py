@@ -11,6 +11,7 @@ materializes the mirror under the ``symmetry`` convention (default
 from __future__ import annotations
 
 import json
+
 from .graphs import (
     Block,
     EqualConstraint,
@@ -20,7 +21,7 @@ from .graphs import (
     WeightPattern,
     block_from,
 )
-from .linalg import fraction_to_json
+from .render import block_to_json
 
 
 class ParseError(ValueError):
@@ -74,6 +75,7 @@ def parse_network(text: str):
     )
 
     edges: list[tuple[int, int]] = []
+    first: dict[tuple[int, int], int] = {}  # edge -> index of its entry
     weights: dict[tuple[int, int], object] = {}
     for idx, e in enumerate(edges_raw):
         loc = f"edges[{idx}]"
@@ -87,14 +89,19 @@ def parse_network(text: str):
             raise ParseError(f"edge ({i},{j}) out of range 1..{n}", loc)
         if i == j:
             raise ParseError(f"self-loop at node {i}", loc)
+        # an undirected (j, i) after (i, j) is the explicit mirror, checked
+        # against the symmetry convention when the graph is built
+        if (i, j) in first:
+            raise ParseError(f"duplicate edge ({i},{j}); see edges[{first[(i, j)]}]", loc)
+        first[(i, j)] = idx
         edges.append((i, j))
         if "weight" in e:
             weights[(i, j)] = e["weight"]
 
     if not is_pattern:
         adjacency = {}
-        for idx, (key, raw) in enumerate(weights.items()):
-            adjacency[key] = _parse_block(raw, d, f"edges[{edges.index(key)}].weight")
+        for key, raw in weights.items():
+            adjacency[key] = _parse_block(raw, d, f"edges[{first[key]}].weight")
         try:
             return MatrixWeightedGraph.create(
                 n, d, adjacency, leaders, directed=directed, symmetry=symmetry
@@ -151,9 +158,9 @@ def parse_network(text: str):
 
     # an inline weight on a pattern edge is shorthand for a fixed constraint
     extra = []
+    name_of = dict(zip(pattern.edges, pattern.variable_names))
     for (i, j), raw in weights.items():
-        key = (i, j) if directed else (min(i, j), max(i, j))
-        name = pattern.variable_names[pattern.edges.index(key)]
+        name = name_of[(i, j) if directed else (min(i, j), max(i, j))]
         extra.append(FixedConstraint(name, _parse_block(raw, d, "edges")))
     if extra:
         try:
@@ -168,10 +175,6 @@ def parse_network(text: str):
     return pattern
 
 
-def _block_to_json(blk: Block):
-    return [[fraction_to_json(x) for x in row] for row in blk]
-
-
 def serialize_network(obj) -> str:
     """Canonical JSON text for a graph or pattern (trailing newline included)."""
     if isinstance(obj, MatrixWeightedGraph):
@@ -184,7 +187,7 @@ def serialize_network(obj) -> str:
         else:
             keys = sorted({(min(i, j), max(i, j)) for (i, j) in obj.adjacency})
         doc["edges"] = [
-            {"i": i, "j": j, "weight": _block_to_json(obj.adjacency[(i, j)])}
+            {"i": i, "j": j, "weight": block_to_json(obj.adjacency[(i, j)])}
             for (i, j) in keys
         ]
         return json.dumps(doc, indent=2) + "\n"
@@ -203,7 +206,7 @@ def serialize_network(obj) -> str:
             if isinstance(c, EqualConstraint):
                 cons.append({"kind": "equal", "args": [c.left, c.right]})
             elif isinstance(c, FixedConstraint):
-                cons.append({"kind": "fixed", "args": [c.var, _block_to_json(c.value)]})
+                cons.append({"kind": "fixed", "args": [c.var, block_to_json(c.value)]})
             else:
                 cons.append({"kind": "sign", "args": [c.var, c.sign]})
         doc["constraints"] = cons

@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .krylov import controllable_subspace
 from .partitions import Partition, partition_of
+from .render import block_to_json
 
 DEFAULT_SAMPLES = 32
 DEFAULT_ENUMERATION_CAP = 12
@@ -54,16 +55,16 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class EPConstraintSystem:
-    """Linear system over the pattern unknowns for one candidate partition.
+    """Solution space of the linear system over the pattern unknowns for one partition.
 
     ``partition=None`` means only the pattern's own constraints apply (the
-    "any admissible weight" space used for unconstrained sampling).
+    "any admissible weight" space used for unconstrained sampling). The
+    solutions are ``particular`` plus the span of ``basis``. Infeasible
+    systems carry an empty ``basis``; nothing samples them.
     """
 
     pattern: WeightPattern
     partition: Partition | None
-    lhs: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
     particular: tuple[Fraction, ...] | None   # None iff the system is inconsistent
     basis: tuple[tuple[Fraction, ...], ...]
     feasible: bool
@@ -79,75 +80,128 @@ class EPConstraintSystem:
         return "ep:" + json.dumps(self.partition.to_lists(), separators=(",", ":"))
 
 
+@dataclass(frozen=True)
+class _PatternRows:
+    """The partition-independent half of every EP system of one pattern."""
+
+    # node r -> ((t, columns of A_rt[p][q] at index p*d + q), ...) over its edges
+    out: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
+    # the pattern constraints after integer_rref; None if they are inconsistent
+    reduced: dict[int, dict[int, int]] | None
+
+
+def _pattern_rows(pattern: WeightPattern) -> _PatternRows:
+    d = pattern.d
+    dd = d * d
+    rhs = pattern.unknown_count
+    out: dict[int, list] = {v: [] for v in range(1, pattern.n + 1)}
+    for idx, (i, j) in enumerate(pattern.edges):
+        cols = tuple(range(idx * dd, (idx + 1) * dd))
+        out[i].append((j, cols))
+        if not pattern.directed:
+            if pattern.symmetry == "transpose":
+                # A_ji[p][q] is A_ij[q][p]
+                cols = tuple(idx * dd + q * d + p for p in range(d) for q in range(d))
+            out[j].append((i, cols))
+
+    rows = []
+    for c in pattern.constraints:
+        if isinstance(c, EqualConstraint):
+            left = pattern.variable_index(c.left) * dd
+            right = pattern.variable_index(c.right) * dd
+            if left != right:
+                rows.extend({left + k: 1, right + k: -1} for k in range(dd))
+        elif isinstance(c, FixedConstraint):
+            base = pattern.variable_index(c.var) * dd
+            for k in range(dd):
+                value = c.value[k // d][k % d]
+                row = {base + k: value.denominator}
+                if value:
+                    row[rhs] = value.numerator
+                rows.append(row)
+        # sign constraints are nonlinear; they act at sampling time
+    return _PatternRows(
+        {v: tuple(nbrs) for v, nbrs in out.items()}, linalg.integer_rref(rows, rhs)
+    )
+
+
+def _ep_rows(prepared: _PatternRows, partition: Partition, include_same_cell: bool):
+    """Sparse EP rows: consecutive same-cell nodes r, s have equal block sums into each cell."""
+    cell_of = {v: idx for idx, cell in enumerate(partition.cells) for v in cell}
+    rows = []
+    for ci, cell in enumerate(partition.cells):
+        for r, s in zip(cell, cell[1:]):
+            acc: dict[tuple[int, int], dict[int, int]] = {}
+            for node, sign in ((r, 1), (s, -1)):
+                for t, cols in prepared.out[node]:
+                    ti = cell_of[t]
+                    if ti == ci and not include_same_cell:
+                        continue
+                    for k, col in enumerate(cols):
+                        row = acc.setdefault((ti, k), {})
+                        x = row.get(col, 0) + sign
+                        if x:
+                            row[col] = x
+                        else:
+                            del row[col]
+            rows.extend(row for row in acc.values() if row)
+    return rows
+
+
 def ep_constraint_system(
     pattern: WeightPattern,
     partition: Partition | None,
     include_same_cell: bool = True,
+    prepared: _PatternRows | None = None,
 ) -> EPConstraintSystem:
-    """Build and solve the constraint system for one partition (or None)."""
-    d = pattern.d
+    """Decide feasibility of one partition (or None) and, if feasible, its solution space.
+
+    Feasibility is decided by exact sparse integer elimination of the EP rows
+    together with the pattern rows (``linalg.integer_rref``); a column is fixed
+    on the solution set when its pivot row has no other unknown, and an edge is
+    forced to zero when all its columns are fixed at 0. The Fraction
+    ``particular`` and ``basis`` are built only for feasible partitions, from
+    the same reduced rows, so they equal what Gauss-Jordan over Fraction
+    gives. ``prepared`` is the pattern's half from ``_pattern_rows``, passed
+    by callers that test many partitions of one pattern.
+    """
+    if prepared is None:
+        prepared = _pattern_rows(pattern)
     cols = pattern.unknown_count
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def add_row(row, b):
-        if any(x != 0 for x in row) or b != 0:
-            rows.append(row)
-            rhs.append(b)
-
-    for c in pattern.constraints:
-        if isinstance(c, EqualConstraint):
-            for p in range(d):
-                for q in range(d):
-                    row = [Fraction(0)] * cols
-                    row[pattern.variable_column(c.left, p, q)] += 1
-                    row[pattern.variable_column(c.right, p, q)] -= 1
-                    add_row(row, Fraction(0))
-        elif isinstance(c, FixedConstraint):
-            for p in range(d):
-                for q in range(d):
-                    row = [Fraction(0)] * cols
-                    row[pattern.variable_column(c.var, p, q)] = Fraction(1)
-                    add_row(row, c.value[p][q])
-        # sign constraints are nonlinear; they act at sampling time
-
+    dd = pattern.d * pattern.d
+    piv = prepared.reduced
     if partition is not None:
         partition = partition_of(partition.cells, pattern.n)
-        for cell in partition.cells:
-            for r, s in zip(cell, cell[1:]):
-                for target in partition.cells:
-                    if not include_same_cell and target == cell:
-                        continue
-                    for p in range(d):
-                        for q in range(d):
-                            row = [Fraction(0)] * cols
-                            for t in target:
-                                cr = pattern.entry_column(r, t, p, q)
-                                if cr is not None:
-                                    row[cr] += 1
-                                cs = pattern.entry_column(s, t, p, q)
-                                if cs is not None:
-                                    row[cs] -= 1
-                            add_row(row, Fraction(0))
+        if piv is not None:
+            rows = _ep_rows(prepared, partition, include_same_cell)
+            piv = linalg.integer_rref(rows, cols, piv)
+    if piv is None:
+        return EPConstraintSystem(pattern, partition, None, (), False, tuple(pattern.edges))
 
-    solved = linalg.solve_affine(rows, rhs, ncols=cols)
-    if solved is None:
-        return EPConstraintSystem(
-            pattern, partition, tuple(tuple(r) for r in rows), tuple(rhs),
-            None, (), False, tuple(pattern.edges),
-        )
-    particular, basis = solved
-    forced = []
-    for idx, edge in enumerate(pattern.edges):
-        span = range(idx * d * d, (idx + 1) * d * d)
-        if all(particular[c] == 0 for c in span) and all(
-            vec[c] == 0 for vec in basis for c in span
-        ):
-            forced.append(edge)
+    particular = [Fraction(0)] * cols
+    for pc, row in piv.items():
+        if cols in row:
+            particular[pc] = Fraction(row[cols], row[pc])
+    # a pivot row holding only its pivot (and no right-hand side) fixes that column at 0
+    zero = {pc for pc, row in piv.items() if len(row) == 1}
+    forced = tuple(
+        edge for idx, edge in enumerate(pattern.edges)
+        if all(c in zero for c in range(idx * dd, (idx + 1) * dd))
+    )
+    if forced:
+        return EPConstraintSystem(pattern, partition, tuple(particular), (), False, forced)
+
+    free = [c for c in range(cols) if c not in piv]
+    slot = {f: i for i, f in enumerate(free)}
+    basis = [[Fraction(0)] * cols for _ in free]
+    for i, f in enumerate(free):
+        basis[i][f] = Fraction(1)
+    for pc, row in piv.items():
+        for c, x in row.items():
+            if c != pc and c != cols:
+                basis[slot[c]][pc] = Fraction(-x, row[pc])
     return EPConstraintSystem(
-        pattern, partition, tuple(tuple(r) for r in rows), tuple(rhs),
-        tuple(particular), tuple(tuple(v) for v in basis),
-        not forced, tuple(forced),
+        pattern, partition, tuple(particular), tuple(tuple(v) for v in basis), True, ()
     )
 
 
@@ -227,13 +281,14 @@ def enumerate_feasible_eps(
             f"{len(followers)} followers exceed the enumeration cap {cap}"
         )
     effective = resolve_mode(pattern, mode)
+    prepared = _pattern_rows(pattern)
     out = []
     for fcells in _follower_partitions(followers):
         cells = [(l,) for l in pattern.leaders] + [tuple(c) for c in fcells]
         pi = Partition(tuple(cells))
         if effective == "strict" and not _support_uniform(pattern, pi):
             continue
-        system = ep_constraint_system(pattern, pi, include_same_cell)
+        system = ep_constraint_system(pattern, pi, include_same_cell, prepared)
         if system.feasible:
             out.append(system)
     out.sort(key=lambda s: (s.partition.k, s.partition.cells))
@@ -366,8 +421,6 @@ class SSCReport:
         return self.backend == "exact"
 
     def to_dict(self) -> dict:
-        from .netio import _block_to_json
-
         verdict = "unknown" if self.ssc_verdict is None else self.ssc_verdict
         return {
             "n": self.n,
@@ -386,7 +439,7 @@ class SSCReport:
             "witness": {
                 "partition": self.witness_partition.to_lists(),
                 "weights": [
-                    {"i": i, "j": j, "weight": _block_to_json(blk)}
+                    {"i": i, "j": j, "weight": block_to_json(blk)}
                     for (i, j), blk in self.witness_weights
                 ],
             },

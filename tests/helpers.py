@@ -15,7 +15,14 @@ from fractions import Fraction
 import sympy
 from sympy.utilities.iterables import multiset_partitions
 
-from ssckit.graphs import MatrixWeightedGraph, WeightPattern, block_is_zero
+from ssckit import linalg
+from ssckit.graphs import (
+    EqualConstraint,
+    FixedConstraint,
+    MatrixWeightedGraph,
+    WeightPattern,
+    block_is_zero,
+)
 from ssckit.partitions import Partition, verify_equitable
 
 
@@ -234,3 +241,60 @@ def oracle_feasible_partitions(pattern: WeightPattern, include_same_cell=True):
         if ok:
             feasible.add(cells)
     return feasible
+
+
+def dense_ep_system(pattern: WeightPattern, partition, include_same_cell=True):
+    """The EP system by dense Fraction rows and ``linalg.solve_affine``.
+
+    Reference route for the sparse integer elimination in ``ssc``: every
+    entry goes through ``pattern.entry_column``. Returns
+    ``(particular, basis, feasible, forced_zero)`` with ``particular`` None
+    iff the system is inconsistent.
+    """
+    d = pattern.d
+    cols = pattern.unknown_count
+    rows, rhs = [], []
+
+    def add_row(row, b):
+        if any(x != 0 for x in row) or b != 0:
+            rows.append(row)
+            rhs.append(b)
+
+    for c in pattern.constraints:
+        for p in range(d):
+            for q in range(d):
+                row = [Fraction(0)] * cols
+                if isinstance(c, EqualConstraint):
+                    row[pattern.variable_column(c.left, p, q)] += 1
+                    row[pattern.variable_column(c.right, p, q)] -= 1
+                    add_row(row, Fraction(0))
+                elif isinstance(c, FixedConstraint):
+                    row[pattern.variable_column(c.var, p, q)] = Fraction(1)
+                    add_row(row, c.value[p][q])
+    if partition is not None:
+        for cell in partition.cells:
+            for r, s in zip(cell, cell[1:]):
+                for target in partition.cells:
+                    if not include_same_cell and target == cell:
+                        continue
+                    for p in range(d):
+                        for q in range(d):
+                            row = [Fraction(0)] * cols
+                            for t in target:
+                                cr = pattern.entry_column(r, t, p, q)
+                                if cr is not None:
+                                    row[cr] += 1
+                                cs = pattern.entry_column(s, t, p, q)
+                                if cs is not None:
+                                    row[cs] -= 1
+                            add_row(row, Fraction(0))
+    solved = linalg.solve_affine(rows, rhs, ncols=cols)
+    if solved is None:
+        return None, [], False, tuple(pattern.edges)
+    particular, basis = solved
+    forced = tuple(
+        edge for idx, edge in enumerate(pattern.edges)
+        if all(particular[c] == 0 and all(v[c] == 0 for v in basis)
+               for c in range(idx * d * d, (idx + 1) * d * d))
+    )
+    return particular, basis, not forced, forced

@@ -41,6 +41,23 @@ def test_laplacian_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("directed,second", [
+    (False, {"i": 1, "j": 2, "weight": [[5]]}),   # same edge twice
+    (False, {"i": 2, "j": 1, "weight": [[5]]}),   # mirror with another weight
+    (True, {"i": 1, "j": 2, "weight": [[5]]}),
+])
+def test_duplicate_concrete_edge_exit2(tmp_path, capsys, directed, second):
+    doc = {
+        "n": 3, "d": 1, "directed": directed, "leaders": [1],
+        "edges": [{"i": 1, "j": 2, "weight": [[1]]}, {"i": 2, "j": 3, "weight": [[1]]},
+                  second],
+    }
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "laplacian", "--input", str(path))
+    assert code == 2 and out == "" and "parse error" in err
+
+
 def test_laplacian_rejects_pattern(capsys):
     code, _, err = run(capsys, "laplacian", "--input",
                        str(FIXTURES / "diamond_pattern.json"))
@@ -169,6 +186,24 @@ def test_bound_sampling_failure_exit5(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "bound", "--input", str(path), "--samples", "2")
     assert code == 5 and "internal error" in err
+
+
+def test_bound_nine_follower_cycle(tmp_path, capsys):
+    # 21147 candidate partitions of the followers; only the mirror pairing
+    # around the leader, {2,10} {3,9} {4,8} {5,7} {6}, leaves every edge free
+    n = 10
+    doc = {
+        "n": n, "d": 1, "leaders": [1],
+        "edges": [{"i": i, "j": i % n + 1} for i in range(1, n + 1)],
+    }
+    path = tmp_path / "cycle10.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "bound", "--input", str(path),
+                       "--samples", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["k_min"] == 6 and doc["bound"] == 6
+    assert doc["witness"]["partition"] == [[1], [2, 10], [3, 9], [4, 8], [5, 7], [6]]
 
 
 def test_bound_json_byte_identical(capsys):

@@ -1,0 +1,124 @@
+"""Differential tests: sparse integer elimination vs. dense Fraction solve and the sympy oracle.
+
+``ep_constraint_system`` decides feasibility by exact integer elimination and
+builds the Fraction solution space only for feasible partitions. Every
+candidate is compared with the dense ``linalg.solve_affine`` route in
+``helpers.dense_ep_system``; the feasible set is compared with the
+all-pairs sympy oracle.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import dense_ep_system, oracle_feasible_partitions
+from ssckit import linalg
+from ssckit.graphs import EqualConstraint, FixedConstraint, WeightPattern
+from ssckit.partitions import Partition
+from ssckit.ssc import _follower_partitions, enumerate_feasible_eps, ep_constraint_system
+
+
+@st.composite
+def patterns(draw, max_followers=5):
+    n = draw(st.integers(min_value=5, max_value=8))
+    d = draw(st.sampled_from([1, 2]))
+    directed = draw(st.booleans())
+    symmetry = None if directed else draw(st.sampled_from(["entrywise", "transpose"]))
+    pairs = list(
+        itertools.permutations(range(1, n + 1), 2)
+        if directed
+        else itertools.combinations(range(1, n + 1), 2)
+    )
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(len(pairs), 9),
+                           unique=True))
+    followers = draw(st.integers(min_value=2, max_value=min(max_followers, n - 1)))
+    leaders = draw(st.permutations(range(1, n + 1)))[: n - followers]
+    bare = WeightPattern.create(n, d, chosen, leaders, directed=directed, symmetry=symmetry)
+    names = st.sampled_from(bare.variable_names)
+    constraints = []
+    for left, right in draw(st.lists(st.tuples(names, names), max_size=3)):
+        if left != right:
+            constraints.append(EqualConstraint(*sorted((left, right))))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    for var, values in draw(st.lists(
+        st.tuples(names, st.lists(entry, min_size=d * d, max_size=d * d)), max_size=2
+    )):
+        if any(values):
+            block = tuple(tuple(Fraction(values[p * d + q]) for q in range(d)) for p in range(d))
+            constraints.append(FixedConstraint(var, block))
+    return WeightPattern.create(
+        n, d, chosen, leaders, directed=directed, symmetry=symmetry, constraints=constraints
+    )
+
+
+def candidates(pattern):
+    yield None
+    for fcells in _follower_partitions(list(pattern.followers)):
+        yield Partition(tuple([(l,) for l in pattern.leaders] + [tuple(c) for c in fcells]))
+
+
+def assert_same_as_dense(pattern, partition, include_same_cell):
+    system = ep_constraint_system(pattern, partition, include_same_cell)
+    particular, basis, feasible, forced = dense_ep_system(
+        pattern, system.partition, include_same_cell
+    )
+    assert system.feasible == feasible
+    assert system.forced_zero == forced
+    assert (system.particular is None) == (particular is None)
+    if feasible:
+        assert system.particular == tuple(particular)
+        assert system.basis == tuple(tuple(v) for v in basis)
+    else:
+        assert system.basis == ()
+    return system
+
+
+@given(patterns(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_every_candidate_matches_dense_solve(pattern, include_same_cell):
+    for partition in candidates(pattern):
+        assert_same_as_dense(pattern, partition, include_same_cell)
+
+
+@given(patterns(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_feasible_set_matches_oracle(pattern, include_same_cell):
+    found = {
+        s.partition.cells
+        for s in enumerate_feasible_eps(pattern, include_same_cell=include_same_cell)
+    }
+    assert found == oracle_feasible_partitions(pattern, include_same_cell)
+
+
+def test_transpose_symmetry_ties_mirrored_entries():
+    # A_32 is the (2,3) block transposed, so equal sums out of nodes 1 and 3
+    # into cell {2} tie a12 to the transpose of a23
+    p = WeightPattern.create(3, 2, [(1, 2), (2, 3)], [2], symmetry="transpose")
+    system = assert_same_as_dense(p, Partition(((1, 3), (2,))), True)
+    assert system.feasible and len(system.basis) == 4
+    for vec in (system.particular,) + system.basis:
+        assert vec[0:4] == (vec[4], vec[6], vec[5], vec[7])
+
+
+def test_inconsistent_pattern_rows_mark_every_edge():
+    p = WeightPattern.create(
+        3, 1, [(1, 2), (2, 3)], [1],
+        constraints=[
+            FixedConstraint("w1_2", ((Fraction(1),),)),
+            FixedConstraint("w2_3", ((Fraction(2),),)),
+            EqualConstraint("w1_2", "w2_3"),
+        ],
+    )
+    system = assert_same_as_dense(p, Partition(((1,), (2,), (3,))), True)
+    assert system.particular is None and system.forced_zero == p.edges
+
+
+def test_integer_rref_leaves_its_seed_untouched():
+    seed = linalg.integer_rref([{0: 2, 1: -2}], 3)
+    assert seed == {0: {0: 1, 1: -1}}
+    grown = linalg.integer_rref([{1: 3, 3: 6}], 3, seed)
+    assert grown == {0: {0: 1, 3: 2}, 1: {1: 1, 3: 2}}
+    assert seed == {0: {0: 1, 1: -1}}
+    assert linalg.integer_rref([{0: 1, 1: -1, 3: 1}], 3, seed) is None
