@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import linalg
 from .corpus import run_corpus
@@ -132,7 +133,7 @@ def _load_any(cfg: AnalysisConfig):
     if not cfg.input:
         raise WrongInputKind("--input is required for this command")
     try:
-        text = open(cfg.input, encoding="utf-8").read()
+        text = Path(cfg.input).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {cfg.input}: {exc.strerror}") from None
     return parse_network(text)

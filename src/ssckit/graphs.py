@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .linalg import as_fraction
+from .linalg import as_fraction, mat_mul
 
 Block = tuple[tuple[Fraction, ...], ...]
 Edge = tuple[int, int]
@@ -125,11 +125,7 @@ class BlockMatrix:
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         if self.d != other.d or self.block_cols != other.block_rows:
             raise ValueError("block dimension mismatch in matrix product")
-        bt = list(zip(*other.entries))
-        ent = tuple(
-            tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-            for row in self.entries
-        )
+        ent = tuple(tuple(row) for row in mat_mul(self.entries, other.entries))
         return BlockMatrix(self.block_rows, other.block_cols, self.d, ent)
 
 

@@ -1,17 +1,17 @@
 """Controllable subspace of a pair (L, M) and the controllability/observability dual.
 
-The subspace im(M) + L im(M) + L^2 im(M) + ... is built round by round and the
-iteration stops at the first round where the rank stops growing (the span is
-then L-invariant, so later powers add nothing). Ranks are exact by default;
-the "float" backend trades certification for speed on larger exploratory runs.
+The subspace im(M) + L im(M) + L^2 im(M) + ... is built in one pass over the
+Krylov columns: each is fed once into the pivot map of ``linalg.integer_rref``
+carried across rounds, and the iteration stops after the first round that adds
+no pivot (the span is then L-invariant, so later powers add nothing). The
+"float" backend runs the same loop with an SVD rank as its independence test,
+trading certification for speed on larger exploratory runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg
 from .graphs import BlockMatrix
@@ -32,45 +32,42 @@ def _check_pair(L: BlockMatrix, M: BlockMatrix):
         raise ValueError("L and M have mismatched dimensions")
 
 
-def _float_basis_columns(cols: list[list[Fraction]]) -> list[int]:
-    # greedy rank-increasing column pick with the SVD cutoff
-    chosen: list[int] = []
-    current = 0
-    for idx in range(len(cols)):
-        trial = np.array([[float(x) for x in cols[c]] for c in chosen + [idx]], dtype=float).T
-        r = linalg._rank_float([list(row) for row in trial.tolist()])
-        if r > current:
-            chosen.append(idx)
-            current = r
-    return chosen
-
-
 def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact") -> ControllableSubspace:
-    """Minimal L-invariant subspace containing im(M), as a basis of Krylov columns."""
+    """Minimal L-invariant subspace containing im(M), as a basis of Krylov columns.
+
+    The columns of M, L M, L^2 M, ... are tested in that order, each once,
+    against the columns kept so far, and kept iff independent of them: the
+    result is the lexicographically-first basis of the Krylov span. The loop
+    ends after a round that keeps nothing (the span is then L-invariant) or
+    once the kept columns span all of R^{nd}; every other round keeps a
+    column, so there are at most nd rounds.
+    """
     _check_pair(L, M)
     nd = L.nrows
-    L_rows = L.to_lists()
-    frontier = M.to_lists()
-    columns = [list(col) for col in zip(*frontier)]
-    accumulated = [list(row) for row in frontier]  # nd x (#cols so far)
-    current_rank = linalg.rank(accumulated, backend)
-    rounds = 0
-    while current_rank < nd and rounds < nd:
-        frontier = linalg.mat_mul(L_rows, frontier)
-        columns.extend(list(col) for col in zip(*frontier))
-        accumulated = linalg.hstack(accumulated, frontier)
-        new_rank = linalg.rank(accumulated, backend)
-        rounds += 1
-        if new_rank == current_rank:
+    L_sparse = [[(c, x) for c, x in enumerate(row) if x] for row in L.entries]
+    frontier = [list(col) for col in zip(*M.entries)]
+    kept: list[list[Fraction]] = []
+    pivots: dict[int, linalg.SparseRow] = {}
+    while True:
+        before = len(kept)
+        for col in frontier:
+            if len(kept) == nd:
+                break
+            if backend == "exact":
+                grown = linalg.integer_rref([linalg.integer_row(col)], nd, pivots)
+                independent = len(grown) > len(pivots)
+                pivots = grown
+            else:
+                independent = linalg.rank(kept + [col], backend) > len(kept)
+            if independent:
+                kept.append(col)
+        if len(kept) in (before, nd):
             break
-        current_rank = new_rank
-    if backend == "exact":
-        keep = linalg.independent_columns(accumulated)
-    else:
-        keep = _float_basis_columns(columns)
-    basis_cols = [columns[c] for c in keep]
-    basis_rows = tuple(tuple(col[r] for col in basis_cols) for r in range(nd))
-    return ControllableSubspace(basis_rows, len(keep))
+        frontier = [
+            [sum((x * col[c] for c, x in row), Fraction(0)) for row in L_sparse] for col in frontier
+        ]
+    basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))
+    return ControllableSubspace(basis_rows, len(kept))
 
 
 def is_controllable(L: BlockMatrix, M: BlockMatrix, backend: str = "exact") -> bool:

@@ -1,10 +1,12 @@
 """Exact linear algebra over rationals for small matrices.
 
-Dense matrices are lists of rows of ``fractions.Fraction``; the sparse
-integer elimination ``integer_rref`` works on rows stored as
-``{column: int}`` dicts. Everything is exact;
-the optional ``float`` rank backend (numpy SVD with a relative cutoff) exists
-for exploratory runs and never feeds a certification path.
+Dense matrices are lists of rows of ``fractions.Fraction``. Every exact
+elimination (ranks, the Krylov span, EP feasibility) runs on one kernel,
+``integer_rref``: sparse Gauss-Jordan on denominator-cleared rows stored as
+``{column: int}`` dicts (``integer_row`` converts a Fraction vector). The
+optional ``float`` rank backend (numpy SVD with a relative cutoff, imported
+only when used) exists for exploratory runs and never feeds a certification
+path.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-import numpy as np
-
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 SparseRow = dict[int, int]  # column -> nonzero integer entry
 
 RANK_BACKENDS = ("exact", "float")
@@ -57,21 +56,6 @@ def fraction_to_json(x: Fraction):
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def copy_matrix(m) -> Matrix:
-    return [list(row) for row in m]
-
-
 def transpose(m) -> Matrix:
     return [list(col) for col in zip(*m)] if m else []
 
@@ -93,52 +77,15 @@ def hstack(*mats) -> Matrix:
     return [sum((list(m[i]) for m in mats), []) for i in range(nrows)]
 
 
-def is_zero_matrix(m) -> bool:
-    return all(x == 0 for row in m for x in row)
-
-
-def _integer_rows(m) -> list[list[int]]:
-    # scaling each row by the lcm of its denominators preserves rank
-    rows = []
-    for row in m:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([int(x * den) for x in row])
-    return rows
-
-
-def _rank_bareiss(m) -> int:
-    """Fraction-free elimination on denominator-cleared integer rows."""
-    if not m or not m[0]:
-        return 0
-    rows = _integer_rows(m)
-    nr, nc = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pivval = rows[r][c]
-        for i in range(r + 1, nr):
-            factor = rows[i][c]
-            for j in range(c + 1, nc):
-                num = rows[i][j] * pivval - factor * rows[r][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination lost exactness"
-                rows[i][j] = q
-            rows[i][c] = 0
-        prev = pivval
-        r += 1
-        if r == nr:
-            break
-    return r
+def integer_row(vec) -> SparseRow:
+    """A rational vector as ``{column: int}``, scaled by the lcm of its denominators."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(vec) if x}
 
 
 def _rank_float(m) -> int:
+    import numpy as np  # only the float backend needs numpy
+
     if not m or not m[0]:
         return 0
     arr = np.array([[float(x) for x in row] for row in m], dtype=float)
@@ -150,108 +97,12 @@ def _rank_float(m) -> int:
 
 def rank(m, backend: str = "exact") -> int:
     if backend == "exact":
-        return _rank_bareiss(m)
+        # scaling a row preserves rank; the right-hand side (column ncols) is
+        # empty, so the system is never inconsistent
+        return len(integer_rref([integer_row(row) for row in m], len(m[0]) if m else 0))
     if backend == "float":
         return _rank_float(m)
     raise ValueError(f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}")
-
-
-def rref(m) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (Gauss-Jordan over Fraction); returns (R, pivot columns)."""
-    rows = copy_matrix(m)
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
-
-
-def independent_columns(m) -> list[int]:
-    """Indices of a lexicographically-first maximal independent column set."""
-    if not m or not m[0]:
-        return []
-    rows = copy_matrix(m)
-    nr, nc = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, nr):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivots
-
-
-def nullspace(m) -> list[Vector]:
-    """Basis of {x : m x = 0}, one vector per free column."""
-    if not m:
-        return []
-    nc = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve_affine(a, b, ncols: int | None = None) -> tuple[Vector, list[Vector]] | None:
-    """Solve a x = b; returns (particular solution, nullspace basis) or None if inconsistent.
-
-    With no rows the system is vacuous: particular 0, basis = unit vectors
-    (``ncols`` must be given in that case).
-    """
-    if not a:
-        if ncols is None:
-            raise ValueError("ncols required for an empty system")
-        particular = [Fraction(0)] * ncols
-        basis = [list(row) for row in identity(ncols)]
-        return particular, basis
-    nc = len(a[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
-    if nc in pivots:
-        return None
-    particular = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        particular[pc] = red[r][nc]
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
-        basis.append(v)
-    return particular, basis
 
 
 def _combine(row: SparseRow, prow: SparseRow, c: int) -> SparseRow:

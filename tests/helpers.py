@@ -15,7 +15,6 @@ from fractions import Fraction
 import sympy
 from sympy.utilities.iterables import multiset_partitions
 
-from ssckit import linalg
 from ssckit.graphs import (
     EqualConstraint,
     FixedConstraint,
@@ -136,6 +135,11 @@ def sympy_rank(rows) -> int:
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rank()
 
 
+def sympy_pivots(rows) -> tuple[int, ...]:
+    """Pivot columns of sympy's reduced row echelon form."""
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rref()[1]
+
+
 def refines(p: Partition, q: Partition) -> bool:
     qcells = [set(c) for c in q.cells]
     return all(any(set(c) <= qc for qc in qcells) for c in p.cells)
@@ -243,8 +247,64 @@ def oracle_feasible_partitions(pattern: WeightPattern, include_same_cell=True):
     return feasible
 
 
+def rref(m):
+    """Reduced row echelon form (Gauss-Jordan over Fraction); returns (R, pivot columns)."""
+    rows = [list(row) for row in m]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots
+
+
+def solve_affine(a, b, ncols: int | None = None):
+    """Solve a x = b; returns (particular solution, nullspace basis) or None if inconsistent.
+
+    With no rows the system is vacuous: particular 0, basis = unit vectors
+    (``ncols`` must be given in that case).
+    """
+    if not a:
+        if ncols is None:
+            raise ValueError("ncols required for an empty system")
+        particular = [Fraction(0)] * ncols
+        basis = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+        return particular, basis
+    nc = len(a[0])
+    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    red, pivots = rref(aug)
+    if nc in pivots:
+        return None
+    particular = [Fraction(0)] * nc
+    for r, pc in enumerate(pivots):
+        particular[pc] = red[r][nc]
+    free = [c for c in range(nc) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * nc
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][f]
+        basis.append(v)
+    return particular, basis
+
+
 def dense_ep_system(pattern: WeightPattern, partition, include_same_cell=True):
-    """The EP system by dense Fraction rows and ``linalg.solve_affine``.
+    """The EP system by dense Fraction rows and ``solve_affine``.
 
     Reference route for the sparse integer elimination in ``ssc``: every
     entry goes through ``pattern.entry_column``. Returns
@@ -288,7 +348,7 @@ def dense_ep_system(pattern: WeightPattern, partition, include_same_cell=True):
                                 if cs is not None:
                                     row[cs] -= 1
                             add_row(row, Fraction(0))
-    solved = linalg.solve_affine(rows, rhs, ncols=cols)
+    solved = solve_affine(rows, rhs, ncols=cols)
     if solved is None:
         return None, [], False, tuple(pattern.edges)
     particular, basis = solved

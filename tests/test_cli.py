@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -300,3 +304,20 @@ def test_bad_flag_values_exit3(capsys):
 def test_missing_input_exit3(capsys):
     code, _, err = run(capsys, "laplacian")
     assert code == 3 and "--input" in err
+
+
+def test_input_file_is_closed(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "ep", "--input", str(FIXTURES / "diamond.json"))
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_import_does_not_load_numpy():
+    # numpy is imported by the float rank backend only
+    probe = "import sys, ssckit.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"

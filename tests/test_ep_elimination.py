@@ -2,7 +2,7 @@
 
 ``ep_constraint_system`` decides feasibility by exact integer elimination and
 builds the Fraction solution space only for feasible partitions. Every
-candidate is compared with the dense ``linalg.solve_affine`` route in
+candidate is compared with the dense ``solve_affine`` route in
 ``helpers.dense_ep_system``; the feasible set is compared with the
 all-pairs sympy oracle.
 """

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import materialized_ctrb, random_graph, sympy_rank
+from helpers import materialized_ctrb, random_graph, sympy_pivots, sympy_rank
 from ssckit import linalg
 from ssckit.graphs import (
     BlockMatrix,
@@ -77,6 +77,20 @@ def test_basis_is_invariant_and_contains_inputs():
         lb = linalg.mat_mul(L.to_lists(), basis)
         assert linalg.rank(linalg.hstack(basis, lb)) == cs.dim
         assert linalg.rank(linalg.hstack(basis, M.to_lists())) == cs.dim
+
+
+def test_basis_is_first_independent_columns_of_ctrb():
+    # the kept Krylov columns are the pivot columns of the full [M LM ... L^{nd-1}M]
+    rng = random.Random(47)
+    for trial in range(24):
+        d = 1 + trial % 2
+        g = random_graph(rng, rng.randint(2, 12 // d), d=d, directed=trial % 4 >= 2)
+        L, M = pair_for(g)
+        full = materialized_ctrb(L, M)
+        cs = controllable_subspace(L, M)
+        expected = [[row[c] for row in full] for c in sympy_pivots(full)]
+        assert [list(col) for col in zip(*cs.basis)] == expected
+        assert cs.dim == len(expected)
 
 
 def test_early_stop_matches_materialized_oracle():
