@@ -1,7 +1,8 @@
 """Controllable subspace of a pair (L, M) and the controllability/observability dual.
 
 The subspace im(M) + L im(M) + L^2 im(M) + ... is built in one pass over the
-Krylov columns: each is fed once into the pivot map of ``linalg.integer_rref``
+Krylov columns: each round's columns go once through
+``linalg.independent_columns``, which tests them against an echelon pivot map
 carried across rounds, and the iteration stops after the first round that adds
 no pivot (the span is then L-invariant, so later powers add nothing). The
 "float" backend runs the same loop with an SVD rank as its independence test,
@@ -45,26 +46,23 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
     _check_pair(L, M)
     nd = L.nrows
     L_sparse = [[(c, x) for c, x in enumerate(row) if x] for row in L.entries]
-    frontier = [list(col) for col in zip(*M.entries)]
+    block = [list(row) for row in M.entries]  # this round's Krylov columns, nd x m
     kept: list[list[Fraction]] = []
-    pivots: dict[int, linalg.SparseRow] = {}
+    pivots: dict[int, linalg.SparseRow] = {}  # echelon map of the kept columns
     while True:
         before = len(kept)
-        for col in frontier:
-            if len(kept) == nd:
-                break
-            if backend == "exact":
-                grown = linalg.integer_rref([linalg.integer_row(col)], nd, pivots)
-                independent = len(grown) > len(pivots)
-                pivots = grown
-            else:
-                independent = linalg.rank(kept + [col], backend) > len(kept)
-            if independent:
-                kept.append(col)
+        if backend == "exact":
+            for j in linalg.independent_columns(block, pivots):
+                kept.append([row[j] for row in block])
+        else:
+            for col in map(list, zip(*block)):
+                if len(kept) < nd and linalg.rank(kept + [col], backend) > len(kept):
+                    kept.append(col)
         if len(kept) in (before, nd):
             break
-        frontier = [
-            [sum((x * col[c] for c, x in row), Fraction(0)) for row in L_sparse] for col in frontier
+        block = [
+            [sum((x * block[c][j] for c, x in row), Fraction(0)) for j in range(len(block[0]))]
+            for row in L_sparse
         ]
     basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))
     return ControllableSubspace(basis_rows, len(kept))

@@ -1,12 +1,14 @@
 """Exact linear algebra over rationals for small matrices.
 
 Dense matrices are lists of rows of ``fractions.Fraction``. Every exact
-elimination (ranks, the Krylov span, EP feasibility) runs on one kernel,
-``integer_rref``: sparse Gauss-Jordan on denominator-cleared rows stored as
-``{column: int}`` dicts (``integer_row`` converts a Fraction vector). The
-optional ``float`` rank backend (numpy SVD with a relative cutoff, imported
-only when used) exists for exploratory runs and never feeds a certification
-path.
+elimination (ranks, the Krylov span, EP feasibility) runs on one step,
+``_add_row``, over denominator-cleared rows stored as ``{column: int}`` dicts
+(``integer_row`` converts a Fraction vector). ``integer_rref`` keeps its rows
+fully reduced, so ``solve_affine`` can read the solutions off them; ``rank``
+and ``independent_columns`` only need echelon form and skip the back
+reduction. The optional ``float`` rank backend (numpy SVD with a relative
+cutoff, imported only when used) exists for exploratory runs and never feeds
+a certification path.
 """
 
 from __future__ import annotations
@@ -97,12 +99,64 @@ def _rank_float(m) -> int:
 
 def rank(m, backend: str = "exact") -> int:
     if backend == "exact":
-        # scaling a row preserves rank; the right-hand side (column ncols) is
-        # empty, so the system is never inconsistent
-        return len(integer_rref([integer_row(row) for row in m], len(m[0]) if m else 0))
+        return len(_independent(m, {}, len(m[0]) if m else 0))
     if backend == "float":
         return _rank_float(m)
     raise ValueError(f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}")
+
+
+def independent_columns(m, pivots: dict[int, SparseRow] | None = None) -> list[int]:
+    """Indices of a lexicographically-first maximal independent column set of ``m``.
+
+    Each column is kept iff it is independent of the columns kept before it.
+    ``pivots`` carries columns across calls: it is the echelon map of the
+    columns kept by earlier calls on matrices with the same row count, and it
+    is extended in place, so a column is also tested against those.
+    """
+    return _independent(zip(*m), {} if pivots is None else pivots, len(m))
+
+
+def _independent(vectors, piv: dict[int, SparseRow], width: int) -> list[int]:
+    # indices of the vectors that add a pivot to piv, in order; once piv has
+    # a pivot in each of the width columns nothing more can be independent
+    keep = []
+    for j, vec in enumerate(vectors):
+        if len(piv) == width:
+            break
+        if _add_row(piv, integer_row(vec), reduced=False) is not None:
+            keep.append(j)
+    return keep
+
+
+def particular_solution(pivots: dict[int, SparseRow], ncols: int) -> list[Fraction]:
+    """The solution of a system reduced by ``integer_rref`` whose free unknowns are 0."""
+    particular = [Fraction(0)] * ncols
+    for pc, row in pivots.items():
+        if ncols in row:
+            particular[pc] = Fraction(row[ncols], row[pc])
+    return particular
+
+
+def solve_affine(pivots: dict[int, SparseRow], ncols: int) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Solutions of a consistent system reduced by ``integer_rref``: (particular, basis).
+
+    The unknowns are columns ``0 .. ncols-1`` and column ``ncols`` is the
+    right-hand side. Dividing each row by its pivot gives the reduced row
+    echelon form, so the solutions are ``particular`` plus the span of
+    ``basis`` (one vector per free column), exactly as Gauss-Jordan over
+    Fraction gives them.
+    """
+    particular = particular_solution(pivots, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    slot = {f: i for i, f in enumerate(free)}
+    basis = [[Fraction(0)] * ncols for _ in free]
+    for i, f in enumerate(free):
+        basis[i][f] = Fraction(1)
+    for pc, row in pivots.items():
+        for c, x in row.items():
+            if c != pc and c != ncols:
+                basis[slot[c]][pc] = Fraction(-x, row[pc])
+    return particular, basis
 
 
 def _combine(row: SparseRow, prow: SparseRow, c: int) -> SparseRow:
@@ -129,6 +183,34 @@ def _normalise(row: SparseRow) -> SparseRow:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
+def _add_row(piv: dict[int, SparseRow], row: SparseRow, reduced: bool) -> int | None:
+    """Reduce ``row`` against ``piv`` and add it under its lead column; None if it vanishes.
+
+    ``reduced`` keeps ``piv`` fully reduced (Gauss-Jordan): the row is cleared
+    at every pivot column and each earlier row at the new lead. Otherwise
+    ``piv`` stays in echelon form, where each row has no entry left of its
+    lead: the row is cleared only at its leading column while that is a
+    pivot, which is all a rank or independence question needs.
+    """
+    if reduced:
+        for c in [c for c in row if c in piv]:
+            # pivot rows are fully reduced, so this brings in no other pivot column
+            row = _combine(row, piv[c], c)
+    else:
+        while row and (lead := min(row)) in piv:
+            row = _combine(row, piv[lead], lead)
+    if not row:
+        return None
+    lead = min(row)
+    row = _normalise(row)
+    if reduced:
+        for pc, prow in list(piv.items()):
+            if lead in prow:
+                piv[pc] = _combine(prow, row, lead)
+    piv[lead] = row
+    return lead
+
+
 def integer_rref(
     rows, rhs_col: int, pivots: dict[int, SparseRow] | None = None
 ) -> dict[int, SparseRow] | None:
@@ -147,17 +229,6 @@ def integer_rref(
     """
     piv = dict(pivots) if pivots else {}
     for row in rows:
-        for c in [c for c in row if c in piv]:
-            # pivot rows are fully reduced, so this brings in no other pivot column
-            row = _combine(row, piv[c], c)
-        if not row:
-            continue
-        lead = min(row)
-        if lead == rhs_col:
+        if _add_row(piv, row, reduced=True) == rhs_col:
             return None
-        row = _normalise(row)
-        for pc, prow in list(piv.items()):
-            if lead in prow:
-                piv[pc] = _combine(prow, row, lead)
-        piv[lead] = row
     return piv

@@ -160,10 +160,11 @@ def ep_constraint_system(
     together with the pattern rows (``linalg.integer_rref``); a column is fixed
     on the solution set when its pivot row has no other unknown, and an edge is
     forced to zero when all its columns are fixed at 0. The Fraction
-    ``particular`` and ``basis`` are built only for feasible partitions, from
-    the same reduced rows, so they equal what Gauss-Jordan over Fraction
-    gives. ``prepared`` is the pattern's half from ``_pattern_rows``, passed
-    by callers that test many partitions of one pattern.
+    ``particular`` and ``basis`` are read off the same reduced rows by
+    ``linalg.solve_affine`` (the basis only for feasible partitions), so they
+    equal what Gauss-Jordan over Fraction gives. ``prepared`` is the pattern's half from
+    ``_pattern_rows``, passed by callers that test many partitions of one
+    pattern.
     """
     if prepared is None:
         prepared = _pattern_rows(pattern)
@@ -178,10 +179,6 @@ def ep_constraint_system(
     if piv is None:
         return EPConstraintSystem(pattern, partition, None, (), False, tuple(pattern.edges))
 
-    particular = [Fraction(0)] * cols
-    for pc, row in piv.items():
-        if cols in row:
-            particular[pc] = Fraction(row[cols], row[pc])
     # a pivot row holding only its pivot (and no right-hand side) fixes that column at 0
     zero = {pc for pc, row in piv.items() if len(row) == 1}
     forced = tuple(
@@ -189,17 +186,9 @@ def ep_constraint_system(
         if all(c in zero for c in range(idx * dd, (idx + 1) * dd))
     )
     if forced:
+        particular = linalg.particular_solution(piv, cols)
         return EPConstraintSystem(pattern, partition, tuple(particular), (), False, forced)
-
-    free = [c for c in range(cols) if c not in piv]
-    slot = {f: i for i, f in enumerate(free)}
-    basis = [[Fraction(0)] * cols for _ in free]
-    for i, f in enumerate(free):
-        basis[i][f] = Fraction(1)
-    for pc, row in piv.items():
-        for c, x in row.items():
-            if c != pc and c != cols:
-                basis[slot[c]][pc] = Fraction(-x, row[pc])
+    particular, basis = linalg.solve_affine(piv, cols)
     return EPConstraintSystem(
         pattern, partition, tuple(particular), tuple(tuple(v) for v in basis), True, ()
     )

@@ -86,6 +86,48 @@ def test_integer_row_clears_denominators():
     assert linalg.integer_row([Fraction(0), Fraction(0)]) == {}
 
 
+def test_independent_columns():
+    m = [
+        [Fraction(1), Fraction(2), Fraction(3), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
+    ]
+    # cols are (1,0), (2,0), (3,1), (0,0)
+    assert linalg.independent_columns(m) == [0, 2]
+
+
+def test_independent_columns_carry_pivots_across_calls():
+    # splitting the columns over two calls with one pivot map keeps the same columns
+    rng = random.Random(5)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(2, 9)
+        m = rand_matrix(rng, nr, nc)
+        if rng.random() < 0.5:
+            for row in m:
+                row[-1] = row[0] - Fraction(1, 2) * row[1]
+        split = rng.randint(1, nc - 1)
+        pivots = {}
+        first = linalg.independent_columns([row[:split] for row in m], pivots)
+        second = linalg.independent_columns([row[split:] for row in m], pivots)
+        assert first + [split + j for j in second] == linalg.independent_columns(m)
+        assert len(pivots) == linalg.rank(m) == len(first) + len(second)
+
+
+def test_solve_affine_reads_the_dense_solution_off_integer_rref():
+    rng = random.Random(17)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        a = rand_matrix(rng, nr, nc)
+        if nr >= 2 and rng.random() < 0.4:
+            a[-1] = [Fraction(-3, 2) * x for x in a[0]]
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nr)]
+        dense = solve_affine(a, b)
+        piv = linalg.integer_rref([linalg.integer_row(row + [x]) for row, x in zip(a, b)], nc)
+        if dense is None:
+            assert piv is None
+        else:
+            assert linalg.solve_affine(piv, nc) == dense
+
+
 def test_rref_pivots_match_rank():
     rng = random.Random(99)
     for _ in range(40):
