@@ -17,13 +17,14 @@ from pathlib import Path
 from . import linalg
 from .corpus import run_corpus
 from .graphs import MatrixWeightedGraph, WeightPattern, build_input_matrix, build_laplacian
-from .krylov import controllable_subspace, dual_pair, observability_matrix
+from .krylov import controllable_subspace, dual_pair
 from .netio import ParseError, parse_network
 from .partitions import (
     InvalidPartitionError,
     NotEquitableError,
     Partition,
     coarsest_ep,
+    partition_of,
     quotient,
     quotient_laplacian,
     verify_equitable,
@@ -150,8 +151,6 @@ def _parse_partition_flag(cfg: AnalysisConfig, n: int) -> Partition:
         for v in cell:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InvalidPartitionError(f"--partition entries must be integers, got {v!r}")
-    from .partitions import partition_of
-
     return partition_of(cells, n)
 
 
@@ -252,14 +251,14 @@ def cmd_dual(cfg: AnalysisConfig) -> int:
     M = build_input_matrix(g.leaders, g.n, g.d)
     Lt, _ = dual_pair(L, M)
     self_dual = Lt.entries == L.entries
-    obs_rank = linalg.rank(observability_matrix(L, M), cfg.backend)
-    dual_dim = controllable_subspace(Lt, M, cfg.backend).dim
+    # the observability matrix of (L, M) is the transpose of the Krylov matrix of (L^T, M)
+    dim = controllable_subspace(Lt, M, cfg.backend).dim
     rev = reversal_check(g)
     if cfg.fmt == "json":
         sys.stdout.write(dumps({
             "self_dual": self_dual,
-            "observability_rank": obs_rank,
-            "dual_controllable_dim": dual_dim,
+            "observability_rank": dim,
+            "dual_controllable_dim": dim,
             "state_dim": L.nrows,
             "reversal": {
                 "holds": rev.holds,
@@ -272,8 +271,8 @@ def cmd_dual(cfg: AnalysisConfig) -> int:
         }))
     else:
         print("self-dual (L = L^T): " + ("yes" if self_dual else "no"))
-        print(f"observability rank of (L, M): {obs_rank} of {L.nrows}")
-        print(f"controllable dimension of the dual pair (L^T, M): {dual_dim}")
+        print(f"observability rank of (L, M): {dim} of {L.nrows}")
+        print(f"controllable dimension of the dual pair (L^T, M): {dim}")
         print(f"edge reversal realizes L^T: {rev.holds}")
         for (i, j, a, b) in rev.mismatches:
             print(f"  block ({i},{j}): reversed {format_block(a)} vs transposed {format_block(b)}")

@@ -44,16 +44,8 @@ def block_zeros(d: int) -> Block:
     return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
 
 
-def block_identity(d: int) -> Block:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d))
-
-
 def block_add(a: Block, b: Block) -> Block:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def block_neg(a: Block) -> Block:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def block_transpose(a: Block) -> Block:
@@ -204,12 +196,6 @@ class MatrixWeightedGraph:
                 if (j, i) not in adjacency:
                     adjacency[(j, i)] = blk if symmetry == "entrywise" else block_transpose(blk)
         return cls(n, d, directed, adjacency, tuple(leaders), symmetry)
-
-    def out_neighbors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.adjacency if a == i)
-
-    def weight(self, i: int, j: int) -> Block | None:
-        return self.adjacency.get((i, j))
 
 
 def degree(g: MatrixWeightedGraph, i: int) -> Block:

@@ -7,6 +7,11 @@ carried across rounds, and the iteration stops after the first round that adds
 no pivot (the span is then L-invariant, so later powers add nothing). The
 "float" backend runs the same loop with an SVD rank as its independence test,
 trading certification for speed on larger exploratory runs.
+
+The observability matrix of (L, M) is the transpose of the Krylov matrix of
+(L^T, M), so its rank is ``controllable_subspace(L^T, M).dim``, which is how
+the CLI reads it; ``observability_matrix`` is the definition, kept for
+library callers and tests.
 """
 
 from __future__ import annotations
@@ -74,7 +79,10 @@ def is_controllable(L: BlockMatrix, M: BlockMatrix, backend: str = "exact") -> b
 
 
 def observability_matrix(L: BlockMatrix, M: BlockMatrix, powers: int | None = None):
-    """Row stack [M^T; M^T L; ...; M^T L^{p-1}] whose rank is the observability rank."""
+    """Row stack [M^T; M^T L; ...; M^T L^{p-1}] whose rank is the observability rank.
+
+    The definition, kept for library callers and tests; the CLI does not build it.
+    """
     _check_pair(L, M)
     if powers is None:
         powers = L.nrows

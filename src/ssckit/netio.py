@@ -41,6 +41,11 @@ def _require(doc: dict, key: str, types, location: str):
     return value
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not one in JSON."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_block(raw, d: int, location: str) -> Block:
     try:
         return block_from(raw, d)
@@ -65,7 +70,7 @@ def parse_network(text: str):
     if not isinstance(directed, bool):
         raise ParseError("field 'directed' must be a boolean", "directed")
     leaders = _require(doc, "leaders", list, "leaders")
-    if not all(isinstance(l, int) and not isinstance(l, bool) for l in leaders):
+    if not all(map(_is_int, leaders)):
         raise ParseError("leaders must be integers", "leaders")
     symmetry = doc.get("symmetry", "none" if directed else "entrywise")
     edges_raw = _require(doc, "edges", list, "edges")
@@ -81,10 +86,9 @@ def parse_network(text: str):
         loc = f"edges[{idx}]"
         if not isinstance(e, dict):
             raise ParseError("edge must be an object", loc)
-        try:
-            i, j = int(e["i"]), int(e["j"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("edge needs integer fields 'i' and 'j'", loc) from None
+        i, j = e.get("i"), e.get("j")
+        if not (_is_int(i) and _is_int(j)):
+            raise ParseError("edge needs integer fields 'i' and 'j'", loc)
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"edge ({i},{j}) out of range 1..{n}", loc)
         if i == j:
@@ -111,17 +115,18 @@ def parse_network(text: str):
 
     # pattern: named variables, optional inline weights become fixed constraints
     var_names: dict[tuple[int, int], str] = {}
+    declared = set(edges) if directed else {(min(a, b), max(a, b)) for a, b in edges}
     for idx, v in enumerate(doc.get("variables", [])):
         loc = f"variables[{idx}]"
         if not isinstance(v, dict) or "edge" not in v or "name" not in v:
             raise ParseError("variable needs fields 'edge' and 'name'", loc)
-        try:
-            i, j = (int(x) for x in v["edge"])
-        except (TypeError, ValueError):
-            raise ParseError("variable edge must be a pair of integers", loc) from None
+        edge = v["edge"]
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+            raise ParseError("variable edge must be a pair of integers", loc)
+        i, j = edge
         if not directed:
             i, j = min(i, j), max(i, j)
-        if (i, j) not in {(a, b) if directed else (min(a, b), max(a, b)) for a, b in edges}:
+        if (i, j) not in declared:
             raise ParseError(f"variable names undeclared edge ({i},{j})", loc)
         var_names[(i, j)] = str(v["name"])
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -7,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import random_graph, sympy_rank
 from ssckit.cli import main
+from ssckit.graphs import MatrixWeightedGraph, build_input_matrix, build_laplacian
+from ssckit.krylov import observability_matrix
+from ssckit.netio import parse_network, serialize_network
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ssckit" / "fixtures"
 
@@ -60,6 +65,15 @@ def test_duplicate_concrete_edge_exit2(tmp_path, capsys, directed, second):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "laplacian", "--input", str(path))
     assert code == 2 and out == "" and "parse error" in err
+
+
+def test_non_integer_endpoint_exit2(tmp_path, capsys):
+    doc = {"n": 3, "d": 1, "leaders": [1],
+           "edges": [{"i": 1, "j": 2, "weight": [[1]]}, {"i": 1.9, "j": "3", "weight": [[1]]}]}
+    path = tmp_path / "float_edge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "laplacian", "--input", str(path))
+    assert code == 2 and out == "" and "edges[1]" in err
 
 
 def test_laplacian_rejects_pattern(capsys):
@@ -274,6 +288,51 @@ def test_dual_undirected_self_dual(capsys):
     doc = json.loads(out)
     assert doc["self_dual"] is True and doc["reversal"]["holds"] is True
     assert doc["observability_rank"] == doc["dual_controllable_dim"] == 3
+
+
+def _dual_json(capsys, tmp_path, g, *flags):
+    path = tmp_path / "net.json"
+    path.write_text(serialize_network(g))
+    code, out, _ = run(capsys, "dual", "--input", str(path), "--format", "json", *flags)
+    assert code == 0
+    return json.loads(out)
+
+
+def _dual_cases():
+    cases = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text()
+        if "edges" not in json.loads(text):
+            continue  # a partition fixture, not a network
+        g = parse_network(text)
+        if isinstance(g, MatrixWeightedGraph):  # patterns have no concrete Laplacian
+            cases.append(pytest.param(g, id=path.stem))
+    rng = random.Random(2024)
+    for directed in (False, True):
+        for d in (1, 2):
+            for k in range(4):
+                n = rng.randint(2, 16 // d)
+                g = random_graph(rng, n, d=d, directed=directed, density=rng.uniform(0.2, 0.6))
+                cases.append(pytest.param(g, id=f"{'di' if directed else 'un'}-d{d}-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("g", _dual_cases())
+def test_dual_observability_rank_matches_definition(capsys, tmp_path, g):
+    # oracle: sympy rank of the materialized observability matrix, not the dual span
+    L = build_laplacian(g)
+    M = build_input_matrix(g.leaders, g.n, g.d)
+    doc = _dual_json(capsys, tmp_path, g)
+    assert doc["observability_rank"] == sympy_rank(observability_matrix(L, M))
+    assert doc["dual_controllable_dim"] == doc["observability_rank"]
+    assert doc["state_dim"] == g.n * g.d
+
+
+def test_dual_float_fields_agree(capsys, tmp_path):
+    # one computation feeds both fields, so they agree even where float ranks are unreliable
+    g = random_graph(random.Random(12), 12, directed=True)
+    doc = _dual_json(capsys, tmp_path, g, "--backend", "float")
+    assert doc["observability_rank"] == doc["dual_controllable_dim"]
 
 
 def test_corpus_command(capsys):

@@ -65,6 +65,16 @@ def test_parse_error_catalogue():
     with pytest.raises(ParseError):  # wrong block dimension
         parse_network('{"n": 2, "d": 2, "leaders": [1], '
                       '"edges": [{"i": 1, "j": 2, "weight": [[1]]}]}')
+    # node indices must be JSON integers: no float, string or bool coercion
+    for i, j in ((1.9, "2"), (1, 2.0), (1, "2"), (True, 3), (1, None)):
+        edge = {"i": i, "j": j, "weight": [[1]]}
+        with pytest.raises(ParseError, match=r"edges\[0\]"):
+            parse_network(json.dumps({"n": 3, "d": 1, "leaders": [1], "edges": [edge]}))
+    for pair in ([2.7, "3"], [2, 3.0], ["2", 3], [True, 2], "23", [2, 3, 1], [2]):
+        doc = {"n": 3, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3}],
+               "variables": [{"edge": [1, 2], "name": "a"}, {"edge": pair, "name": "b"}]}
+        with pytest.raises(ParseError, match=r"variables\[1\]"):
+            parse_network(json.dumps(doc))
 
 
 def test_parse_rational_and_scalar_forms():
