@@ -233,15 +233,14 @@ def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
     """L = D - A with block diagonal D of (signed) degrees; block rows sum to zero."""
     n, d = g.n, g.d
     rows = [[Fraction(0)] * (n * d) for _ in range(n * d)]
-    for i in range(1, n + 1):
-        deg = degree(g, i)
-        for p in range(d):
-            for q in range(d):
-                rows[(i - 1) * d + p][(i - 1) * d + q] = deg[p][q]
+    # one pass over the edges: each block adds into its tail's degree block
     for (i, j), blk in g.adjacency.items():
+        bi, bj = (i - 1) * d, (j - 1) * d
         for p in range(d):
+            row = rows[bi + p]
             for q in range(d):
-                rows[(i - 1) * d + p][(j - 1) * d + q] = -blk[p][q]
+                row[bi + q] += blk[p][q]
+                row[bj + q] = -blk[p][q]
     return BlockMatrix(n, n, d, tuple(tuple(row) for row in rows))
 
 

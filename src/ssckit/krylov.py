@@ -5,8 +5,11 @@ Krylov columns: each round's columns go once through
 ``linalg.independent_columns``, which tests them against an echelon pivot map
 carried across rounds, and the iteration stops after the first round that adds
 no pivot (the span is then L-invariant, so later powers add nothing). The
-"float" backend runs the same loop with an SVD rank as its independence test,
-trading certification for speed on larger exploratory runs.
+columns are carried as integers, ``D^k L^k M`` for D the lcm of L's
+denominators, and divided back into Fractions only when kept. The "float"
+backend runs the same loop with an SVD rank of the kept Fraction columns as
+its independence test, trading certification for speed on larger exploratory
+runs.
 
 The observability matrix of (L, M) is the transpose of the Krylov matrix of
 (L^T, M), so its rank is ``controllable_subspace(L^T, M).dim``, which is how
@@ -16,6 +19,7 @@ library callers and tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,28 +51,40 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
     ends after a round that keeps nothing (the span is then L-invariant) or
     once the kept columns span all of R^{nd}; every other round keeps a
     column, so there are at most nd rounds.
+
+    The columns are carried as Python ints: with D the lcm of L's
+    denominators and E that of M's, round k holds the integer matrix
+    E D^k L^k M, computed from ``D L`` as sparse int rows. A positive scale
+    changes no independence, so only a kept column is divided back into
+    Fractions; the float backend tests that Fraction column by SVD rank.
     """
     _check_pair(L, M)
     nd = L.nrows
     L_sparse = [[(c, x) for c, x in enumerate(row) if x] for row in L.entries]
-    block = [list(row) for row in M.entries]  # this round's Krylov columns, nd x m
+    D = math.lcm(*(x.denominator for row in L_sparse for _, x in row))
+    L_int = [[(c, x.numerator * (D // x.denominator)) for c, x in row] for row in L_sparse]
+    scale = math.lcm(*(x.denominator for row in M.entries for x in row))
+    # this round's Krylov columns times scale, nd x m
+    block = [[x.numerator * (scale // x.denominator) for x in row] for row in M.entries]
     kept: list[list[Fraction]] = []
     pivots: dict[int, linalg.SparseRow] = {}  # echelon map of the kept columns
     while True:
         before = len(kept)
         if backend == "exact":
             for j in linalg.independent_columns(block, pivots):
-                kept.append([row[j] for row in block])
+                kept.append([Fraction(row[j], scale) for row in block])
         else:
-            for col in map(list, zip(*block)):
+            for col in zip(*block):
+                col = [Fraction(x, scale) for x in col]
                 if len(kept) < nd and linalg.rank(kept + [col], backend) > len(kept):
                     kept.append(col)
         if len(kept) in (before, nd):
             break
         block = [
-            [sum((x * block[c][j] for c, x in row), Fraction(0)) for j in range(len(block[0]))]
-            for row in L_sparse
+            [sum(x * block[c][j] for c, x in row) for j in range(len(block[0]))]
+            for row in L_int
         ]
+        scale *= D
     basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))
     return ControllableSubspace(basis_rows, len(kept))
 

@@ -128,7 +128,11 @@ def parse_network(text: str):
             i, j = min(i, j), max(i, j)
         if (i, j) not in declared:
             raise ParseError(f"variable names undeclared edge ({i},{j})", loc)
-        var_names[(i, j)] = str(v["name"])
+        if not isinstance(v["name"], str):
+            raise ParseError("variable name must be a string", loc)
+        if (i, j) in var_names:
+            raise ParseError(f"edge ({i},{j}) is already named {var_names[(i, j)]!r}", loc)
+        var_names[(i, j)] = v["name"]
 
     constraints = []
     for idx, c in enumerate(doc.get("constraints", [])):
@@ -137,18 +141,19 @@ def parse_network(text: str):
             raise ParseError("constraint needs fields 'kind' and 'args'", loc)
         kind, args = c["kind"], c["args"]
         if kind == "equal":
-            if not (isinstance(args, list) and len(args) == 2):
-                raise ParseError("equal constraint takes [left, right]", loc)
-            left, right = sorted(str(a) for a in args)
+            if not (isinstance(args, list) and len(args) == 2
+                    and all(isinstance(a, str) for a in args)):
+                raise ParseError("equal constraint takes [left, right] variable names", loc)
+            left, right = sorted(args)
             constraints.append(EqualConstraint(left, right))
         elif kind == "fixed":
-            if not (isinstance(args, list) and len(args) == 2):
-                raise ParseError("fixed constraint takes [var, value]", loc)
-            constraints.append(FixedConstraint(str(args[0]), _parse_block(args[1], d, loc)))
+            if not (isinstance(args, list) and len(args) == 2 and isinstance(args[0], str)):
+                raise ParseError("fixed constraint takes [var, value] with a variable name", loc)
+            constraints.append(FixedConstraint(args[0], _parse_block(args[1], d, loc)))
         elif kind == "sign":
-            if not (isinstance(args, list) and len(args) == 2):
-                raise ParseError("sign constraint takes [var, '+'|'-']", loc)
-            constraints.append(SignConstraint(str(args[0]), str(args[1])))
+            if not (isinstance(args, list) and len(args) == 2 and isinstance(args[0], str)):
+                raise ParseError("sign constraint takes [var, '+'|'-'] with a variable name", loc)
+            constraints.append(SignConstraint(args[0], str(args[1])))
         else:
             raise ParseError(f"unknown constraint kind {kind!r}", loc)
 

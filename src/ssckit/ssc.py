@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,6 @@ from .graphs import (
     FixedConstraint,
     MatrixWeightedGraph,
     WeightPattern,
-    block_is_zero,
     build_input_matrix,
     build_laplacian,
 )
@@ -319,12 +319,16 @@ def _block_of(pattern, vec, var_idx) -> Block:
     )
 
 
-def _sign_ok(block: Block, sign: str | None) -> bool:
-    if sign is None:
-        return True
+def _entries_ok(entries, sign: str | None) -> bool:
+    # one edge's block entries, scaled by a positive denominator: not all zero
+    # and within the edge's sign constraint
+    if not any(entries):
+        return False
     if sign == "+":
-        return all(x >= 0 for row in block for x in row)
-    return all(x <= 0 for row in block for x in row)
+        return min(entries) >= 0
+    if sign == "-":
+        return max(entries) <= 0
+    return True
 
 
 def sample_weights(system, seed=0) -> MatrixWeightedGraph:
@@ -334,6 +338,11 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
     draws that zero an edge block or break a sign constraint are rejected and
     redrawn, widening the range once before giving up. Deterministic per
     (system, seed).
+
+    ``particular`` and ``basis`` are put over one common denominator once per
+    call, so each draw is combined and tested in integers (the denominator is
+    positive, so zero and sign tests carry over); Fractions are built only for
+    the accepted assignment.
     """
     if isinstance(system, WeightPattern):
         system = ep_constraint_system(system, None)
@@ -342,27 +351,33 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
             f"system is infeasible (forced-zero edges: {list(system.forced_zero)})"
         )
     pattern = system.pattern
+    den = math.lcm(*(x.denominator for x in system.particular),
+                   *(x.denominator for vec in system.basis for x in vec))
+    particular = [x.numerator * (den // x.denominator) for x in system.particular]
+    basis = [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(vec) if x]
+             for vec in system.basis]
+    dd = pattern.d * pattern.d
+    signs = [pattern.sign_of(name) for name in pattern.variable_names]
     rng = random.Random(f"{system.key()}|{seed}")
     budgets = [(SAMPLE_RANGE, REJECTION_BUDGET), (WIDENED_RANGE, REJECTION_BUDGET)]
     offender = None
     for spread, budget in budgets:
         for _ in range(budget):
-            coeffs = [Fraction(rng.randint(-spread, spread)) for _ in system.basis]
-            vec = list(system.particular)
-            for c, bvec in zip(coeffs, system.basis):
+            coeffs = [rng.randint(-spread, spread) for _ in basis]
+            vec = list(particular)
+            for c, bvec in zip(coeffs, basis):
                 if c:
-                    vec = [x + c * y for x, y in zip(vec, bvec)]
-            ok = True
-            assignment = {}
-            for idx, name in enumerate(pattern.variable_names):
-                blk = _block_of(pattern, vec, idx)
-                if block_is_zero(blk) or not _sign_ok(blk, pattern.sign_of(name)):
-                    ok = False
-                    offender = pattern.edges[idx]
-                    break
-                assignment[name] = blk
-            if ok:
-                return pattern.materialize(assignment)
+                    for col, y in bvec:
+                        vec[col] += c * y
+            bad = next((idx for idx, sign in enumerate(signs)
+                        if not _entries_ok(vec[idx * dd:(idx + 1) * dd], sign)), None)
+            if bad is None:
+                values = [Fraction(x, den) for x in vec]
+                return pattern.materialize({
+                    name: _block_of(pattern, values, idx)
+                    for idx, name in enumerate(pattern.variable_names)
+                })
+            offender = pattern.edges[bad]
     raise SamplingError(
         f"rejection budget exhausted; edge {offender} kept vanishing or broke its sign"
     )

@@ -23,11 +23,19 @@ from ssckit.graphs import (
     block_is_zero,
 )
 from ssckit.partitions import Partition, verify_equitable
+from ssckit.ssc import REJECTION_BUDGET, SAMPLE_RANGE, WIDENED_RANGE
 
 
-def rand_block(rng: random.Random, d: int, lo=-4, hi=4):
+def rand_block(rng: random.Random, d: int, lo=-4, hi=4, max_den=1):
+    """A nonzero d x d block; entries over denominators up to ``max_den``."""
     while True:
-        blk = tuple(tuple(Fraction(rng.randint(lo, hi)) for _ in range(d)) for _ in range(d))
+        blk = tuple(
+            tuple(
+                Fraction(rng.randint(lo, hi), rng.randint(1, max_den) if max_den > 1 else 1)
+                for _ in range(d)
+            )
+            for _ in range(d)
+        )
         if not block_is_zero(blk):
             return blk
 
@@ -40,6 +48,7 @@ def random_graph(
     density: float = 0.5,
     leaders=None,
     symmetric_blocks: bool = False,
+    max_den: int = 1,
 ) -> MatrixWeightedGraph:
     edges = {}
     pairs = (
@@ -49,7 +58,7 @@ def random_graph(
     )
     for (i, j) in pairs:
         if rng.random() < density:
-            blk = rand_block(rng, d)
+            blk = rand_block(rng, d, max_den=max_den)
             if symmetric_blocks:
                 blk = tuple(
                     tuple((blk[p][q] + blk[q][p]) / 2 for q in range(d)) for p in range(d)
@@ -127,6 +136,40 @@ def materialized_ctrb(L, M, powers=None):
         ]
         cols.extend(list(col) for col in zip(*block))
     return [[cols[c][r] for c in range(len(cols))] for r in range(nd)]
+
+
+def fraction_sample_weights(system, seed):
+    """``ssc.sample_weights`` in plain Fraction arithmetic, dense vectors throughout.
+
+    The same seeded draw sequence (one ``randint`` per basis vector, the small
+    range and then the widened one, each with its rejection budget); returns
+    None where ``sample_weights`` raises ``SamplingError``.
+    """
+    pattern, d = system.pattern, system.pattern.d
+    rng = random.Random(f"{system.key()}|{seed}")
+    for spread in (SAMPLE_RANGE, WIDENED_RANGE):
+        for _ in range(REJECTION_BUDGET):
+            coeffs = [Fraction(rng.randint(-spread, spread)) for _ in system.basis]
+            vec = list(system.particular)
+            for c, bvec in zip(coeffs, system.basis):
+                if c:
+                    vec = [x + c * y for x, y in zip(vec, bvec)]
+            blocks = {
+                name: tuple(tuple(vec[idx * d * d + p * d + q] for q in range(d))
+                            for p in range(d))
+                for idx, name in enumerate(pattern.variable_names)
+            }
+            ok = True
+            for name, blk in blocks.items():
+                entries = [x for row in blk for x in row]
+                sign = pattern.sign_of(name)
+                if (all(x == 0 for x in entries)
+                        or (sign == "+" and any(x < 0 for x in entries))
+                        or (sign == "-" and any(x > 0 for x in entries))):
+                    ok = False
+            if ok:
+                return pattern.materialize(blocks)
+    return None
 
 
 def sympy_rank(rows) -> int:

@@ -76,6 +76,15 @@ def test_non_integer_endpoint_exit2(tmp_path, capsys):
     assert code == 2 and out == "" and "edges[1]" in err
 
 
+def test_non_string_variable_name_exit2(tmp_path, capsys):
+    doc = {"n": 3, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3}],
+           "variables": [{"edge": [1, 2], "name": "a"}, {"edge": [2, 3], "name": 5}]}
+    path = tmp_path / "numeric_name.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bound", "--input", str(path), "--samples", "1")
+    assert code == 2 and out == "" and "variables[1]" in err
+
+
 def test_laplacian_rejects_pattern(capsys):
     code, _, err = run(capsys, "laplacian", "--input",
                        str(FIXTURES / "diamond_pattern.json"))

@@ -93,6 +93,40 @@ def test_basis_is_first_independent_columns_of_ctrb():
         assert cs.dim == len(expected)
 
 
+def test_rational_blocks_match_materialized_ctrb():
+    # non-unit denominators in L (and in M): the integer Krylov columns carry
+    # a scale D^k that must come back out of every kept column
+    rng = random.Random(53)
+    rational = 0
+    for trial in range(24):
+        d = 1 + trial % 2
+        g = random_graph(rng, rng.randint(2, 12 // d), d=d, directed=trial % 4 >= 2, max_den=7)
+        L, M = pair_for(g)
+        if trial % 3 == 2:
+            M = BlockMatrix(M.block_rows, M.block_cols, d, tuple(
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in row)
+                for row in M.entries
+            ))
+        rational += any(x.denominator > 1 for row in L.entries for x in row)
+        full = materialized_ctrb(L, M)
+        cs = controllable_subspace(L, M)
+        expected = [[row[c] for row in full] for c in sympy_pivots(full)]
+        assert [list(col) for col in zip(*cs.basis)] == expected
+        assert cs.dim == sympy_rank(full)
+    assert rational >= 20
+
+
+def test_float_backend_keeps_the_exact_columns_on_rational_graphs():
+    # the float loop tests the same Fraction Krylov columns, so where it is
+    # accurate it keeps exactly the exact backend's basis
+    rng = random.Random(61)
+    for trial in range(15):
+        g = random_graph(rng, rng.randint(2, 4), d=1 + trial % 2,
+                         directed=rng.random() < 0.5, max_den=7)
+        L, M = pair_for(g)
+        assert controllable_subspace(L, M, "float") == controllable_subspace(L, M)
+
+
 def test_early_stop_matches_materialized_oracle():
     rng = random.Random(31)
     for _ in range(40):

@@ -75,6 +75,26 @@ def test_parse_error_catalogue():
                "variables": [{"edge": [1, 2], "name": "a"}, {"edge": pair, "name": "b"}]}
         with pytest.raises(ParseError, match=r"variables\[1\]"):
             parse_network(json.dumps(doc))
+    # a second name for an already named edge, in either orientation
+    for directed, pair in ((False, [1, 2]), (False, [2, 1]), (True, [1, 2])):
+        doc = {"n": 3, "d": 1, "directed": directed, "leaders": [1],
+               "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3}],
+               "variables": [{"edge": [1, 2], "name": "a"}, {"edge": pair, "name": "b"}]}
+        with pytest.raises(ParseError, match=r"variables\[1\].*already named 'a'"):
+            parse_network(json.dumps(doc))
+    # variable names and constraint arguments must be JSON strings: no str() coercion
+    for name in (5, True, None, ["a"]):
+        doc = {"n": 3, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}],
+               "variables": [{"edge": [1, 2], "name": name}]}
+        with pytest.raises(ParseError, match=r"variables\[0\]"):
+            parse_network(json.dumps(doc))
+    base = {"n": 3, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}, {"i": 1, "j": 3}],
+            "variables": [{"edge": [1, 2], "name": "5"}, {"edge": [1, 3], "name": "True"}]}
+    for kind, args in (("equal", [5, True]), ("equal", ["5", True]), ("fixed", [5, [[1]]]),
+                       ("sign", [True, "+"]), ("sign", [None, "-"])):
+        doc = dict(base, constraints=[{"kind": kind, "args": args}])
+        with pytest.raises(ParseError, match=r"constraints\[0\]"):
+            parse_network(json.dumps(doc))
 
 
 def test_parse_rational_and_scalar_forms():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_feasible_partitions, random_graph
+from helpers import fraction_sample_weights, oracle_feasible_partitions, random_graph
 from ssckit import linalg
 from ssckit.graphs import (
     MatrixWeightedGraph,
@@ -265,6 +265,41 @@ def test_sample_sign_constraint_held():
         g = sample_weights(p, seed)
         assert g.adjacency[(1, 2)][0][0] > 0
         assert g.adjacency[(2, 3)][0][0] < 0
+
+
+def test_sample_fractional_constraints_match_fraction_reference():
+    # fixed values over 2, 3, 7 and a tie e = g that the EP rows turn into
+    # 2g = f + h, so particular and basis both carry non-unit denominators;
+    # without the fixed values only the basis does
+    from ssckit import EqualConstraint, FixedConstraint
+
+    half, third, seventh = Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)
+    zero = Fraction(0)
+    tie = EqualConstraint("e", "g")
+    fixed = [
+        FixedConstraint("a", ((half, zero), (-2 * third, 3 * seventh))),
+        FixedConstraint("f", ((third, zero), (zero, -5 * seventh))),
+        SignConstraint("r", "+"),
+    ]
+    edges = [(1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 1), (5, 1)]
+    names = dict(zip(edges, "abegfhrs"))
+    patterns = [
+        WeightPattern.create(5, 2, edges, [1], directed=True, variable_names=names,
+                             constraints=[tie] + fixed),
+        WeightPattern.create(5, 2, edges, [1], directed=True, variable_names=names,
+                             constraints=[tie]),
+        WeightPattern.create(3, 2, [(1, 2), (2, 3)], [1], directed=True, constraints=[
+            SignConstraint("w1_2", "-"),
+            FixedConstraint("w2_3", ((half, zero), (zero, -seventh))),
+        ]),
+    ]
+    for p in patterns[:2]:
+        systems = enumerate_feasible_eps(p) + [ep_constraint_system(p, None)]
+        assert any(x.denominator > 1 for s in systems for v in s.basis for x in v)
+    for p in patterns:
+        for system in enumerate_feasible_eps(p) + [ep_constraint_system(p, None)]:
+            for seed in range(50):
+                assert sample_weights(system, seed) == fraction_sample_weights(system, seed)
 
 
 def test_sample_infeasible_system_errors(path3_pattern):
