@@ -23,6 +23,11 @@ from .graphs import (
 )
 from .render import block_to_json
 
+# Largest state dimension n*d a document may declare. Laplacians, input
+# matrices and the ep/dual paths are dense nd x nd Fraction lists, so a larger
+# document is refused as a bad argument (exit 3) before anything is built.
+MAX_STATE_DIM = 1024
+
 
 class ParseError(ValueError):
     """Malformed or inconsistent network document; carries a location hint."""
@@ -54,7 +59,11 @@ def _parse_block(raw, d: int, location: str) -> Block:
 
 
 def parse_network(text: str):
-    """Parse a document into a MatrixWeightedGraph or WeightPattern."""
+    """Parse a document into a MatrixWeightedGraph or WeightPattern.
+
+    Raises ParseError for a malformed document, and ValueError when its
+    ``n * d`` exceeds ``MAX_STATE_DIM``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -66,6 +75,8 @@ def parse_network(text: str):
     d = _require(doc, "d", int, "d")
     if isinstance(n, bool) or isinstance(d, bool) or n < 1 or d < 1:
         raise ParseError("n and d must be positive integers", "n")
+    if n * d > MAX_STATE_DIM:
+        raise ValueError(f"n*d = {n * d} exceeds the state-dimension limit {MAX_STATE_DIM}")
     directed = doc.get("directed", False)
     if not isinstance(directed, bool):
         raise ParseError("field 'directed' must be a boolean", "directed")

@@ -12,6 +12,7 @@ reproducible empirical estimate alongside the certified bound.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -125,17 +126,22 @@ def _pattern_rows(pattern: WeightPattern) -> _PatternRows:
     )
 
 
-def _ep_rows(prepared: _PatternRows, partition: Partition, include_same_cell: bool):
-    """Sparse EP rows: consecutive same-cell nodes r, s have equal block sums into each cell."""
-    cell_of = {v: idx for idx, cell in enumerate(partition.cells) for v in cell}
+def _ep_rows(prepared: _PatternRows, cells, group_of: dict[int, int], include_same_cell: bool):
+    """Sparse EP rows: consecutive nodes r, s of each cell have equal block sums into each group.
+
+    ``group_of`` maps target nodes to group indices; edges into nodes outside
+    it are left out. A cell's own group (the one holding its nodes) is left
+    out too unless ``include_same_cell``.
+    """
     rows = []
-    for ci, cell in enumerate(partition.cells):
+    for cell in cells:
+        own = None if include_same_cell else group_of.get(cell[0])
         for r, s in zip(cell, cell[1:]):
             acc: dict[tuple[int, int], dict[int, int]] = {}
             for node, sign in ((r, 1), (s, -1)):
                 for t, cols in prepared.out[node]:
-                    ti = cell_of[t]
-                    if ti == ci and not include_same_cell:
+                    ti = group_of.get(t)
+                    if ti is None or ti == own:
                         continue
                     for k, col in enumerate(cols):
                         row = acc.setdefault((ti, k), {})
@@ -146,6 +152,32 @@ def _ep_rows(prepared: _PatternRows, partition: Partition, include_same_cell: bo
                             del row[col]
             rows.extend(row for row in acc.values() if row)
     return rows
+
+
+def _forced_zero(pattern: WeightPattern, piv: dict[int, dict[int, int]]) -> tuple:
+    """Edges whose block vanishes on the solutions of the consistent reduced rows ``piv``."""
+    dd = pattern.d * pattern.d
+    # a pivot row holding only its pivot (and no right-hand side) fixes that column at 0
+    zero = {pc for pc, row in piv.items() if len(row) == 1}
+    return tuple(
+        edge for idx, edge in enumerate(pattern.edges)
+        if all(c in zero for c in range(idx * dd, (idx + 1) * dd))
+    )
+
+
+def _solved_system(pattern: WeightPattern, partition: Partition | None, piv) -> EPConstraintSystem:
+    """The system of the reduced rows ``piv`` (None if inconsistent), solved if feasible."""
+    if piv is None:
+        return EPConstraintSystem(pattern, partition, None, (), False, tuple(pattern.edges))
+    cols = pattern.unknown_count
+    forced = _forced_zero(pattern, piv)
+    if forced:
+        particular = linalg.particular_solution(piv, cols)
+        return EPConstraintSystem(pattern, partition, tuple(particular), (), False, forced)
+    particular, basis = linalg.solve_affine(piv, cols)
+    return EPConstraintSystem(
+        pattern, partition, tuple(particular), tuple(tuple(v) for v in basis), True, ()
+    )
 
 
 def ep_constraint_system(
@@ -162,66 +194,67 @@ def ep_constraint_system(
     forced to zero when all its columns are fixed at 0. The Fraction
     ``particular`` and ``basis`` are read off the same reduced rows by
     ``linalg.solve_affine`` (the basis only for feasible partitions), so they
-    equal what Gauss-Jordan over Fraction gives. ``prepared`` is the pattern's half from
-    ``_pattern_rows``, passed by callers that test many partitions of one
-    pattern.
+    equal what Gauss-Jordan over Fraction gives. ``prepared`` is the pattern's
+    half from ``_pattern_rows``, passed by callers that test many partitions
+    of one pattern. This is the one-partition entry point; the search in
+    ``enumerate_feasible_eps`` reaches the same reduced rows cell by cell.
     """
     if prepared is None:
         prepared = _pattern_rows(pattern)
-    cols = pattern.unknown_count
-    dd = pattern.d * pattern.d
     piv = prepared.reduced
     if partition is not None:
         partition = partition_of(partition.cells, pattern.n)
         if piv is not None:
-            rows = _ep_rows(prepared, partition, include_same_cell)
-            piv = linalg.integer_rref(rows, cols, piv)
-    if piv is None:
-        return EPConstraintSystem(pattern, partition, None, (), False, tuple(pattern.edges))
-
-    # a pivot row holding only its pivot (and no right-hand side) fixes that column at 0
-    zero = {pc for pc, row in piv.items() if len(row) == 1}
-    forced = tuple(
-        edge for idx, edge in enumerate(pattern.edges)
-        if all(c in zero for c in range(idx * dd, (idx + 1) * dd))
-    )
-    if forced:
-        particular = linalg.particular_solution(piv, cols)
-        return EPConstraintSystem(pattern, partition, tuple(particular), (), False, forced)
-    particular, basis = linalg.solve_affine(piv, cols)
-    return EPConstraintSystem(
-        pattern, partition, tuple(particular), tuple(tuple(v) for v in basis), True, ()
-    )
+            cell_of = {v: idx for idx, cell in enumerate(partition.cells) for v in cell}
+            rows = _ep_rows(prepared, partition.cells, cell_of, include_same_cell)
+            piv = linalg.integer_rref(rows, pattern.unknown_count, piv)
+    return _solved_system(pattern, partition, piv)
 
 
 # ---------------------------------------------------------------------------
-# enumeration of feasible equitable partitions
+# search for feasible equitable partitions
 # ---------------------------------------------------------------------------
 
-def _follower_partitions(followers):
-    """Set partitions of the follower list via restricted-growth strings."""
-    if not followers:
-        yield []
-        return
-    n = len(followers)
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        cells: dict[int, list[int]] = {}
-        for v, c in zip(followers, rgs):
-            cells.setdefault(c, []).append(v)
-        yield [cells[c] for c in sorted(cells)]
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
+def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: bool):
+    """Yield (cells, reduced rows) for every leader-singleton partition the search keeps.
+
+    Cells are fixed one at a time, leaders first as singletons: the next cell
+    is the least unassigned follower plus any subset of the other unassigned
+    followers, so each set partition is reached once. With fixed cells
+    C1..Cj and R the union of the unassigned followers, the rows "same-cell
+    nodes of a fixed cell have equal block sums into each fixed cell and
+    into R" are sums of EP rows of every completion. Each child reduces only
+    its new rows into its parent's pivots: the earlier cells into the new
+    cell, and the new cell into every fixed cell, itself and what remains of
+    R. Inconsistency and a forced-zero edge can only appear, never vanish, as
+    rows are added, so a child showing either is pruned with its subtree. At
+    a leaf R is empty and the rows span exactly the partition's EP system.
+    """
+    cols = pattern.unknown_count
+
+    def visit(cells, rest, piv):
+        if not rest:
+            yield cells, piv
             return
-        rgs[i] += 1
-        m = max(maxes[i - 1], rgs[i])
-        maxes[i] = m
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = m
+        first, others = rest[0], rest[1:]
+        fixed = {v: gi for gi, cell in enumerate(cells) for v in cell}
+        j = len(cells)
+        for size in range(len(others) + 1):
+            for extra in itertools.combinations(others, size):
+                new = (first,) + extra
+                left = tuple(v for v in others if v not in extra)
+                group_of = dict(fixed)
+                group_of.update(dict.fromkeys(new, j))
+                group_of.update(dict.fromkeys(left, j + 1))
+                rows = _ep_rows(prepared, cells, dict.fromkeys(new, j), True)
+                rows += _ep_rows(prepared, [new], group_of, include_same_cell)
+                child = linalg.integer_rref(rows, cols, piv)
+                if child is not None and not _forced_zero(pattern, child):
+                    yield from visit(cells + [new], left, child)
+
+    root = prepared.reduced
+    if root is not None and not _forced_zero(pattern, root):
+        yield from visit([(l,) for l in pattern.leaders], pattern.followers, root)
 
 
 def resolve_mode(pattern: WeightPattern, mode: str) -> str:
@@ -258,28 +291,28 @@ def enumerate_feasible_eps(
 ) -> list[EPConstraintSystem]:
     """All leader-singleton partitions whose EP system leaves every edge free to be nonzero.
 
-    Partitions are enumerated over the followers only (leaders are pinned to
+    Partitions range over the followers only (leaders are pinned to
     singleton cells so every column of M is a column of the characteristic
-    matrix). Sorted by (cell count, canonical cells).
+    matrix). ``_search`` fixes one cell at a time and prunes every subtree
+    whose rows so far are already inconsistent or force an edge to zero, so
+    each returned system equals ``ep_constraint_system`` of its partition
+    without every set partition being built. In strict mode a partition
+    must also pass ``_support_uniform``. Raises ``EnumerationCapError`` above
+    ``cap`` followers. Sorted by (cell count, canonical cells).
     """
     if not pattern.edges:
         raise ValueError("pattern has no edges")
-    followers = list(pattern.followers)
-    if len(followers) > cap:
+    if len(pattern.followers) > cap:
         raise EnumerationCapError(
-            f"{len(followers)} followers exceed the enumeration cap {cap}"
+            f"{len(pattern.followers)} followers exceed the enumeration cap {cap}"
         )
     effective = resolve_mode(pattern, mode)
-    prepared = _pattern_rows(pattern)
     out = []
-    for fcells in _follower_partitions(followers):
-        cells = [(l,) for l in pattern.leaders] + [tuple(c) for c in fcells]
+    for cells, piv in _search(pattern, _pattern_rows(pattern), include_same_cell):
         pi = Partition(tuple(cells))
         if effective == "strict" and not _support_uniform(pattern, pi):
             continue
-        system = ep_constraint_system(pattern, pi, include_same_cell, prepared)
-        if system.feasible:
-            out.append(system)
+        out.append(_solved_system(pattern, pi, piv))
     out.sort(key=lambda s: (s.partition.k, s.partition.cells))
     return out
 
@@ -338,14 +371,21 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
     draws that zero an edge block or break a sign constraint are rejected and
     redrawn, widening the range once before giving up. Deterministic per
     (system, seed).
-
-    ``particular`` and ``basis`` are put over one common denominator once per
-    call, so each draw is combined and tested in integers (the denominator is
-    positive, so zero and sign tests carry over); Fractions are built only for
-    the accepted assignment.
     """
     if isinstance(system, WeightPattern):
         system = ep_constraint_system(system, None)
+    return _draw(system, _integer_form(system), seed)
+
+
+def _integer_form(system: EPConstraintSystem):
+    """``(den, particular, basis, signs)``: the solution space over one common denominator.
+
+    ``particular`` holds integers and each basis vector its nonzero
+    ``(column, integer)`` entries, all scaled by ``den``; ``signs`` is each
+    variable's sign constraint. Built once per system, so every draw is
+    combined and tested in integers (``den`` is positive, so zero and sign
+    tests carry over).
+    """
     if not system.feasible or system.particular is None:
         raise SamplingError(
             f"system is infeasible (forced-zero edges: {list(system.forced_zero)})"
@@ -356,8 +396,15 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
     particular = [x.numerator * (den // x.denominator) for x in system.particular]
     basis = [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(vec) if x]
              for vec in system.basis]
-    dd = pattern.d * pattern.d
     signs = [pattern.sign_of(name) for name in pattern.variable_names]
+    return den, particular, basis, signs
+
+
+def _draw(system: EPConstraintSystem, form, seed) -> MatrixWeightedGraph:
+    # sample_weights on the system's _integer_form; Fractions only for the accepted draw
+    den, particular, basis, signs = form
+    pattern = system.pattern
+    dd = pattern.d * pattern.d
     rng = random.Random(f"{system.key()}|{seed}")
     budgets = [(SAMPLE_RANGE, REJECTION_BUDGET), (WIDENED_RANGE, REJECTION_BUDGET)]
     offender = None
@@ -491,10 +538,11 @@ def estimate_ssc_dimension(
     witness_weights = None
     for system in entries:
         key = system.key()
+        form = _integer_form(system)
         samples = []
         for i in range(samples_per_system):
             sseed = _derive_seed(seed, key, i)
-            g = sample_weights(system, sseed)
+            g = _draw(system, form, sseed)
             if system is minsys and witness_weights is None:
                 keys = sorted(g.adjacency) if g.directed else sorted(
                     {(min(a, b), max(a, b)) for (a, b) in g.adjacency}

@@ -23,7 +23,15 @@ from ssckit.graphs import (
     block_is_zero,
 )
 from ssckit.partitions import Partition, verify_equitable
-from ssckit.ssc import REJECTION_BUDGET, SAMPLE_RANGE, WIDENED_RANGE
+from ssckit.ssc import (
+    REJECTION_BUDGET,
+    SAMPLE_RANGE,
+    WIDENED_RANGE,
+    _pattern_rows,
+    _support_uniform,
+    ep_constraint_system,
+    resolve_mode,
+)
 
 
 def rand_block(rng: random.Random, d: int, lo=-4, hi=4, max_den=1):
@@ -207,6 +215,58 @@ def brute_force_coarsest(g: MatrixWeightedGraph, protected) -> Partition:
     assert sum(1 for p in candidates if p.k == best.k) == 1, "coarsest EP is not unique"
     assert all(refines(p, best) for p in candidates)
     return best
+
+
+def follower_partitions(followers):
+    """Set partitions of the follower list via restricted-growth strings."""
+    if not followers:
+        yield []
+        return
+    n = len(followers)
+    rgs = [0] * n
+    maxes = [0] * n
+    while True:
+        cells: dict[int, list[int]] = {}
+        for v, c in zip(followers, rgs):
+            cells.setdefault(c, []).append(v)
+        yield [cells[c] for c in sorted(cells)]
+        i = n - 1
+        while i > 0 and rgs[i] == maxes[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        m = max(maxes[i - 1], rgs[i])
+        maxes[i] = m
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            maxes[j] = m
+
+
+def leader_singleton_partitions(pattern: WeightPattern):
+    """Every partition of 1..n that keeps each leader in a singleton cell."""
+    for fcells in follower_partitions(list(pattern.followers)):
+        yield Partition(tuple([(l,) for l in pattern.leaders] + [tuple(c) for c in fcells]))
+
+
+def exhaustive_feasible_eps(pattern: WeightPattern, mode="cancellative", include_same_cell=True):
+    """``ssc.enumerate_feasible_eps`` without pruning: one EP system per set partition.
+
+    Reference for the cell-by-cell search: every leader-singleton partition
+    goes through ``ep_constraint_system`` on its own (no cap, Bell-number
+    many), and the feasible systems are sorted the same way.
+    """
+    effective = resolve_mode(pattern, mode)
+    prepared = _pattern_rows(pattern)
+    out = []
+    for pi in leader_singleton_partitions(pattern):
+        if effective == "strict" and not _support_uniform(pattern, pi):
+            continue
+        system = ep_constraint_system(pattern, pi, include_same_cell, prepared)
+        if system.feasible:
+            out.append(system)
+    out.sort(key=lambda s: (s.partition.k, s.partition.cells))
+    return out
 
 
 def oracle_feasible_partitions(pattern: WeightPattern, include_same_cell=True):

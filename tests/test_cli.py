@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from helpers import random_graph, sympy_rank
 from ssckit.cli import main
 from ssckit.graphs import MatrixWeightedGraph, build_input_matrix, build_laplacian
 from ssckit.krylov import observability_matrix
-from ssckit.netio import parse_network, serialize_network
+from ssckit.netio import MAX_STATE_DIM, parse_network, serialize_network
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ssckit" / "fixtures"
 
@@ -231,6 +232,46 @@ def test_bound_nine_follower_cycle(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["k_min"] == 6 and doc["bound"] == 6
     assert doc["witness"]["partition"] == [[1], [2, 10], [3, 9], [4, 8], [5, 7], [6]]
+
+
+def test_bound_twelve_follower_cycle(tmp_path, capsys):
+    # the default --cap 12 admits 12 followers; the cell-by-cell search prunes
+    # all but a few of their 4213597 set partitions
+    n = 13
+    doc = {
+        "n": n, "d": 1, "leaders": [1],
+        "edges": [{"i": i, "j": i % n + 1} for i in range(1, n + 1)],
+    }
+    path = tmp_path / "cycle13.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bound", "--input", str(path),
+                       "--samples", "1", "--format", "json")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["k_min"] == 7 and doc["bound"] == 7
+    assert doc["witness"]["partition"] == [[1], [2, 13], [3, 12], [4, 11], [5, 10],
+                                           [6, 9], [7, 8]]
+
+
+@pytest.mark.parametrize("command", ["laplacian", "bound", "dual"])
+def test_state_dimension_limit_exit3(tmp_path, capsys, command):
+    # refused on n*d alone, before any n-sized object is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**9, "d": 1, "leaders": [1], "edges": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "state-dimension limit" in err
+
+
+def test_state_dimension_limit_is_on_n_times_d():
+    edges = [{"i": 1, "j": 2, "weight": [[1] * 2] * 2}]
+    at_limit = {"n": MAX_STATE_DIM // 2, "d": 2, "leaders": [1], "edges": edges}
+    assert parse_network(json.dumps(at_limit)).n == MAX_STATE_DIM // 2
+    with pytest.raises(ValueError, match="state-dimension limit"):
+        parse_network(json.dumps(dict(at_limit, n=MAX_STATE_DIM // 2 + 1)))
 
 
 def test_bound_json_byte_identical(capsys):

@@ -3,21 +3,28 @@
 ``ep_constraint_system`` decides feasibility by exact integer elimination and
 builds the Fraction solution space only for feasible partitions. Every
 candidate is compared with the dense ``solve_affine`` route in
-``helpers.dense_ep_system``; the feasible set is compared with the
-all-pairs sympy oracle.
+``helpers.dense_ep_system``. The pruned cell-by-cell search of
+``enumerate_feasible_eps`` is compared with the unpruned per-partition loop
+``helpers.exhaustive_feasible_eps``, and its feasible set with the all-pairs
+sympy oracle.
 """
 
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_ep_system, oracle_feasible_partitions
+from helpers import (
+    dense_ep_system,
+    exhaustive_feasible_eps,
+    leader_singleton_partitions,
+    oracle_feasible_partitions,
+)
 from ssckit import linalg
-from ssckit.graphs import EqualConstraint, FixedConstraint, WeightPattern
+from ssckit.graphs import EqualConstraint, FixedConstraint, SignConstraint, WeightPattern
 from ssckit.partitions import Partition
-from ssckit.ssc import _follower_partitions, enumerate_feasible_eps, ep_constraint_system
+from ssckit.ssc import enumerate_feasible_eps, ep_constraint_system, resolve_mode
 
 
 @st.composite
@@ -48,6 +55,10 @@ def patterns(draw, max_followers=5):
         if any(values):
             block = tuple(tuple(Fraction(values[p * d + q]) for q in range(d)) for p in range(d))
             constraints.append(FixedConstraint(var, block))
+    # one shared sign on every edge is what lets --mode strict take effect
+    sign = draw(st.sampled_from([None, None, "+", "-"]))
+    if sign is not None:
+        constraints.extend(SignConstraint(name, sign) for name in bare.variable_names)
     return WeightPattern.create(
         n, d, chosen, leaders, directed=directed, symmetry=symmetry, constraints=constraints
     )
@@ -55,8 +66,7 @@ def patterns(draw, max_followers=5):
 
 def candidates(pattern):
     yield None
-    for fcells in _follower_partitions(list(pattern.followers)):
-        yield Partition(tuple([(l,) for l in pattern.leaders] + [tuple(c) for c in fcells]))
+    yield from leader_singleton_partitions(pattern)
 
 
 def assert_same_as_dense(pattern, partition, include_same_cell):
@@ -82,7 +92,7 @@ def test_every_candidate_matches_dense_solve(pattern, include_same_cell):
         assert_same_as_dense(pattern, partition, include_same_cell)
 
 
-@given(patterns(), st.booleans())
+@given(patterns(max_followers=6), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_feasible_set_matches_oracle(pattern, include_same_cell):
     found = {
@@ -90,6 +100,21 @@ def test_feasible_set_matches_oracle(pattern, include_same_cell):
         for s in enumerate_feasible_eps(pattern, include_same_cell=include_same_cell)
     }
     assert found == oracle_feasible_partitions(pattern, include_same_cell)
+
+
+def summary(systems):
+    return [(s.partition, s.particular, s.basis, s.forced_zero, s.feasible) for s in systems]
+
+
+@given(patterns(max_followers=6), st.booleans(), st.sampled_from(["cancellative", "strict"]))
+@settings(max_examples=150, deadline=None)
+def test_pruned_search_matches_exhaustive_reference(pattern, include_same_cell, mode):
+    found = enumerate_feasible_eps(pattern, mode, include_same_cell=include_same_cell)
+    assert summary(found) == summary(exhaustive_feasible_eps(pattern, mode, include_same_cell))
+
+
+def test_patterns_reach_strict_mode():
+    find(patterns(), lambda p: resolve_mode(p, "strict") == "strict")
 
 
 def test_transpose_symmetry_ties_mirrored_entries():
