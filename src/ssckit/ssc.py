@@ -243,9 +243,7 @@ def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: b
             for extra in itertools.combinations(others, size):
                 new = (first,) + extra
                 left = tuple(v for v in others if v not in extra)
-                group_of = dict(fixed)
-                group_of.update(dict.fromkeys(new, j))
-                group_of.update(dict.fromkeys(left, j + 1))
+                group_of = {**fixed, **dict.fromkeys(new, j), **dict.fromkeys(left, j + 1)}
                 rows = _ep_rows(prepared, cells, dict.fromkeys(new, j), True)
                 rows += _ep_rows(prepared, [new], group_of, include_same_cell)
                 child = linalg.integer_rref(rows, cols, piv)
