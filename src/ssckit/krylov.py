@@ -1,15 +1,23 @@
 """Controllable subspace of a pair (L, M) and the controllability/observability dual.
 
 The subspace im(M) + L im(M) + L^2 im(M) + ... is built in one pass over the
-Krylov columns: each round's columns go once through
+Krylov columns (``_exact_rounds``): each round's columns go once through
 ``linalg.independent_columns``, which tests them against an echelon pivot map
 carried across rounds, and the iteration stops after the first round that adds
 no pivot (the span is then L-invariant, so later powers add nothing). The
 columns are carried as integers, ``D^k L^k M`` for D the lcm of L's
-denominators, and divided back into Fractions only when kept. The "float"
-backend runs the same loop with an SVD rank of the kept Fraction columns as
-its independence test, trading certification for speed on larger exploratory
-runs.
+denominators, and ``controllable_subspace`` divides them back into Fractions
+only when kept. The "float" backend of ``controllable_subspace`` runs the
+same rounds in its own loop, with an SVD rank of the kept Fraction columns as
+its independence test; it trades certification for speed on larger
+exploratory runs.
+
+``controllable_dim`` reads only the dimension of an integer pair and takes a
+certified upper bound u on it (nd always; d*k for a draw from a k-cell
+equitable-partition system). The rank of the Krylov matrix mod the prime
+``MODULUS`` is never above its rank over Q, so when it reaches u the dimension
+is proven with no rational arithmetic; otherwise the exact loop decides,
+stopping at u too. Its "float" backend is the modular rank alone, unchecked.
 
 The observability matrix of (L, M) is the transpose of the Krylov matrix of
 (L^T, M), so its rank is ``controllable_subspace(L^T, M).dim``, which is how
@@ -25,6 +33,8 @@ from fractions import Fraction
 
 from . import linalg
 from .graphs import BlockMatrix
+
+MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,88 @@ def _check_pair(L: BlockMatrix, M: BlockMatrix):
         raise ValueError("L and M have mismatched dimensions")
 
 
+def _times(L_int, block):
+    # L_int (sparse int rows) times the dense int matrix block
+    return [[sum(x * block[c][j] for c, x in row) for j in range(len(block[0]))] for row in L_int]
+
+
+def _exact_rounds(L_int, block, limit: int):
+    """The exact Krylov loop: yields ``(block, kept)`` per round, ``block`` times ``L_int``.
+
+    ``L_int`` is a square integer matrix as sparse rows ``[(column, int), ...]``
+    and ``block`` the integer nd x m matrix of the first round. Round k's
+    block is ``L_int^k block``; ``kept`` lists its columns that are
+    independent of every column kept before them (tested exactly by
+    ``linalg.independent_columns``). The loop ends after a round that keeps
+    nothing (the span is then invariant) or once ``limit`` columns are kept;
+    ``limit`` must be at least the span's dimension.
+    """
+    pivots: dict[int, linalg.SparseRow] = {}  # echelon map of the kept columns
+    total = 0
+    while True:
+        kept = linalg.independent_columns(block, pivots)
+        yield block, kept
+        total += len(kept)
+        if not kept or total >= limit:
+            return
+        block = _times(L_int, block)
+
+
+def _rank_mod_p(L_int, block, limit: int) -> int:
+    """Rank over GF(MODULUS) of the Krylov matrix of an integer pair, stopping at ``limit``.
+
+    Columns are reduced against an echelon map of monic rows; only the
+    columns a round keeps are multiplied by ``L_int`` for the next round (a
+    column dependent on the earlier ones has its image in the span of theirs
+    and of the current round), so the count is the rank of the whole Krylov
+    matrix mod p, which is never above its rank over the rationals.
+    """
+    p = MODULUS
+    pivots: dict[int, list[int]] = {}  # lead -> row, 1 at the lead and 0 left of it
+    cols = [[x % p for x in col] for col in zip(*block)]
+    while cols:
+        kept = []
+        for col in cols:
+            v = col
+            for lead in sorted(pivots):
+                f = v[lead]
+                if f:
+                    v = [(a - f * b) % p for a, b in zip(v, pivots[lead])]
+            for lead, x in enumerate(v):
+                if x:
+                    break
+            else:
+                continue  # dependent
+            inv = pow(x, -1, p)
+            pivots[lead] = [y * inv % p for y in v]
+            if len(pivots) >= limit:
+                return len(pivots)
+            kept.append(col)
+        cols = [[sum([x * col[c] for c, x in row]) % p for row in L_int] for col in kept]
+    return len(pivots)
+
+
+def controllable_dim(L_int, block, upper: int, backend: str = "exact") -> int:
+    """dim <L|M> of an integer pair, given a certified upper bound ``upper`` on it.
+
+    ``L_int`` is the nd x nd integer matrix as sparse rows ``[(column, int),
+    ...]`` and ``block`` the integer nd x m input matrix as dense rows; any
+    positive scale of either leaves the span unchanged. The rank of the
+    Krylov matrix mod ``MODULUS`` is a lower bound on the dimension; when it
+    reaches ``upper`` it is the dimension, proven without rational
+    arithmetic. Otherwise the exact loop decides, stopping at ``upper`` as
+    well. The "float" backend returns the mod-p rank with no exact check.
+    ``upper`` must really bound the dimension (nd always does; d*k does for
+    a draw from a feasible k-cell system with leaders as singletons).
+    """
+    if backend not in linalg.RANK_BACKENDS:
+        raise ValueError(f"unknown rank backend {backend!r}; expected one of {linalg.RANK_BACKENDS}")
+    low = _rank_mod_p(L_int, block, upper)
+    if low >= upper or backend == "float":
+        return low
+    return sum(len(kept) for _, kept in _exact_rounds(L_int, block, upper))
+
+
 def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact") -> ControllableSubspace:
     """Minimal L-invariant subspace containing im(M), as a basis of Krylov columns.
 
@@ -54,9 +146,12 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
 
     The columns are carried as Python ints: with D the lcm of L's
     denominators and E that of M's, round k holds the integer matrix
-    E D^k L^k M, computed from ``D L`` as sparse int rows. A positive scale
-    changes no independence, so only a kept column is divided back into
-    Fractions; the float backend tests that Fraction column by SVD rank.
+    E D^k L^k M, computed from ``D L`` as sparse int rows by ``_exact_rounds``
+    (the loop ``controllable_dim`` falls back to). A positive scale changes
+    no independence, so only a kept column is divided back into Fractions.
+    The float backend runs its own loop that tests each Fraction column by
+    SVD rank. Callers that read only ``.dim`` of an integer pair with a known
+    upper bound use ``controllable_dim`` instead.
     """
     _check_pair(L, M)
     nd = L.nrows
@@ -67,24 +162,21 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
     # this round's Krylov columns times scale, nd x m
     block = [[x.numerator * (scale // x.denominator) for x in row] for row in M.entries]
     kept: list[list[Fraction]] = []
-    pivots: dict[int, linalg.SparseRow] = {}  # echelon map of the kept columns
-    while True:
-        before = len(kept)
-        if backend == "exact":
-            for j in linalg.independent_columns(block, pivots):
-                kept.append([Fraction(row[j], scale) for row in block])
-        else:
+    if backend == "exact":
+        for block, cols in _exact_rounds(L_int, block, nd):
+            kept.extend([Fraction(row[j], scale) for row in block] for j in cols)
+            scale *= D
+    else:
+        while True:
+            before = len(kept)
             for col in zip(*block):
                 col = [Fraction(x, scale) for x in col]
                 if len(kept) < nd and linalg.rank(kept + [col], backend) > len(kept):
                     kept.append(col)
-        if len(kept) in (before, nd):
-            break
-        block = [
-            [sum(x * block[c][j] for c, x in row) for j in range(len(block[0]))]
-            for row in L_int
-        ]
-        scale *= D
+            if len(kept) in (before, nd):
+                break
+            block = _times(L_int, block)
+            scale *= D
     basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))
     return ControllableSubspace(basis_rows, len(kept))
 

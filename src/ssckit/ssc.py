@@ -29,7 +29,8 @@ from .graphs import (
     build_input_matrix,
     build_laplacian,
 )
-from .krylov import controllable_subspace
+from .krylov import controllable_dim
+from .krylov import controllable_subspace  # noqa: F401  (kept importable from this module)
 from .partitions import Partition, partition_of
 from .render import block_to_json
 
@@ -372,7 +373,8 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
     """
     if isinstance(system, WeightPattern):
         system = ep_constraint_system(system, None)
-    return _draw(system, _integer_form(system), seed)
+    form = _integer_form(system)
+    return _graph(system.pattern, form[0], _draw(system, form, seed))
 
 
 def _integer_form(system: EPConstraintSystem):
@@ -398,8 +400,8 @@ def _integer_form(system: EPConstraintSystem):
     return den, particular, basis, signs
 
 
-def _draw(system: EPConstraintSystem, form, seed) -> MatrixWeightedGraph:
-    # sample_weights on the system's _integer_form; Fractions only for the accepted draw
+def _draw(system: EPConstraintSystem, form, seed) -> list[int]:
+    # the unknowns of sample_weights's draw, scaled by the _integer_form's den
     den, particular, basis, signs = form
     pattern = system.pattern
     dd = pattern.d * pattern.d
@@ -417,15 +419,45 @@ def _draw(system: EPConstraintSystem, form, seed) -> MatrixWeightedGraph:
             bad = next((idx for idx, sign in enumerate(signs)
                         if not _entries_ok(vec[idx * dd:(idx + 1) * dd], sign)), None)
             if bad is None:
-                values = [Fraction(x, den) for x in vec]
-                return pattern.materialize({
-                    name: _block_of(pattern, values, idx)
-                    for idx, name in enumerate(pattern.variable_names)
-                })
+                return vec
             offender = pattern.edges[bad]
     raise SamplingError(
         f"rejection budget exhausted; edge {offender} kept vanishing or broke its sign"
     )
+
+
+def _graph(pattern: WeightPattern, den: int, vec) -> MatrixWeightedGraph:
+    # the graph of a drawn unknown vector scaled by den
+    values = [Fraction(x, den) for x in vec]
+    return pattern.materialize({
+        name: _block_of(pattern, values, idx)
+        for idx, name in enumerate(pattern.variable_names)
+    })
+
+
+def _laplacian_rows(prepared: _PatternRows, pattern: WeightPattern, vec) -> list[list[tuple[int, int]]]:
+    """``den * L`` of a drawn unknown vector (scaled by den), as sparse int rows.
+
+    Row ``(r-1)*d + p`` holds ``[(column, int), ...]``: the degree block of
+    node r on the diagonal and ``-A_rt`` at each neighbour t, read through
+    ``prepared.out`` (which already applies direction and the transpose
+    convention), so it equals ``den * build_laplacian(sample)`` entry for entry.
+    """
+    d = pattern.d
+    rows = []
+    for r in range(1, pattern.n + 1):
+        base = (r - 1) * d
+        for p in range(d):
+            row: dict[int, int] = {}
+            for t, cols in prepared.out[r]:
+                off = (t - 1) * d
+                for q in range(d):
+                    x = vec[cols[p * d + q]]
+                    if x:
+                        row[base + q] = row.get(base + q, 0) + x
+                        row[off + q] = -x
+            rows.append([(c, x) for c, x in row.items() if x])
+    return rows
 
 
 def _derive_seed(master, key: str, index: int) -> int:
@@ -522,6 +554,16 @@ def estimate_ssc_dimension(
     Every feasible system is sampled (the minimum-cell one and the
     unconstrained pattern always included); the report records the certified
     bound d*k_min next to the sampled minimum, never conflating the two.
+
+    Each draw stays in integers: its unknowns go straight into the sparse
+    rows of ``den * L`` (``_laplacian_rows``), and ``krylov.controllable_dim``
+    reads the dimension with the system's own upper bound as certificate:
+    d*k for a k-cell system (its draws satisfy every EP equation and keep
+    the leaders as singletons, so im(P) is L-invariant and contains im(M))
+    and n*d for the unconstrained one. Each sampled dimension equals
+    ``controllable_subspace(build_laplacian(g), M).dim`` for
+    ``g = sample_weights(system, seed)``; only the witness draw is built as
+    a graph. Under ``backend="float"`` the modular rank is reported unchecked.
     """
     if samples_per_system < 1:
         raise ValueError("samples_per_system must be >= 1")
@@ -530,31 +572,34 @@ def estimate_ssc_dimension(
         raise ValueError("pattern constraints admit no weight assignment")
     effective = resolve_mode(pattern, mode)
     minsys = systems[0]
-    entries = list(systems) + [ep_constraint_system(pattern, None)]
+    prepared = _pattern_rows(pattern)
+    entries = list(systems) + [ep_constraint_system(pattern, None, prepared=prepared)]
+    nd = pattern.n * pattern.d
+    inputs = [[int(x) for x in row]
+              for row in build_input_matrix(pattern.leaders, pattern.n, pattern.d).entries]
 
     results = []
     witness_weights = None
     for system in entries:
         key = system.key()
         form = _integer_form(system)
+        upper = nd if system.k is None else pattern.d * system.k
         samples = []
         for i in range(samples_per_system):
             sseed = _derive_seed(seed, key, i)
-            g = _draw(system, form, sseed)
+            vec = _draw(system, form, sseed)
             if system is minsys and witness_weights is None:
+                g = _graph(pattern, form[0], vec)
                 keys = sorted(g.adjacency) if g.directed else sorted(
                     {(min(a, b), max(a, b)) for (a, b) in g.adjacency}
                 )
                 witness_weights = tuple((e, g.adjacency[e]) for e in keys)
-            L = build_laplacian(g)
-            M = build_input_matrix(g.leaders, g.n, g.d)
-            dim = controllable_subspace(L, M, backend).dim
-            samples.append((sseed, dim))
+            L_int = _laplacian_rows(prepared, pattern, vec)
+            samples.append((sseed, controllable_dim(L_int, inputs, upper, backend)))
         results.append(SystemSamples(system.partition, system.k, tuple(samples)))
 
     flat = tuple(s for r in results for s in r.samples)
     estimate = min(dim for _, dim in flat)
-    nd = pattern.n * pattern.d
     bound = pattern.d * minsys.partition.k
     if bound < nd or estimate < nd:
         verdict: bool | None = False

@@ -1,9 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import materialized_ctrb, random_graph, sympy_pivots, sympy_rank
+from helpers import (
+    materialized_ctrb,
+    random_graph,
+    sympy_domain_rank,
+    sympy_pivots,
+    sympy_rank,
+)
 from ssckit import linalg
 from ssckit.graphs import (
     BlockMatrix,
@@ -11,6 +20,9 @@ from ssckit.graphs import (
     build_laplacian,
 )
 from ssckit.krylov import (
+    MODULUS,
+    _rank_mod_p,
+    controllable_dim,
     controllable_subspace,
     dual_pair,
     is_controllable,
@@ -195,3 +207,52 @@ def test_float_backend_agrees_on_small_graphs():
         exact = controllable_subspace(L, M, backend="exact")
         approx = controllable_subspace(L, M, backend="float")
         assert exact.dim == approx.dim
+
+
+def integer_pair(L, M):
+    """(D L as sparse int rows, M as dense int rows) for D the lcm of L's denominators."""
+    D = math.lcm(*(x.denominator for row in L.entries for x in row))
+    L_int = [[(c, int(x * D)) for c, x in enumerate(row) if x] for row in L.entries]
+    return L_int, [[int(x) for x in row] for row in M.entries]
+
+
+@st.composite
+def krylov_pairs(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=2, max_value=24 // d))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    leaders = sorted(rng.sample(range(1, n + 1), draw(st.integers(min_value=1, max_value=2))))
+    g = random_graph(
+        rng, n, d, directed=draw(st.booleans()),
+        density=draw(st.sampled_from([0.1, 0.25, 0.5])), leaders=leaders,
+        max_den=draw(st.sampled_from([1, 4])),
+    )
+    return pair_for(g)
+
+
+@given(krylov_pairs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_controllable_dim_matches_exact_and_sympy(pair, data):
+    # nd up to 24, beyond the materialized oracles above
+    L, M = pair
+    nd = L.nrows
+    L_int, M_int = integer_pair(L, M)
+    exact = controllable_subspace(L, M).dim
+    assert exact == sympy_domain_rank(materialized_ctrb(L, M))
+    assert controllable_dim(L_int, M_int, nd) == exact
+    assert _rank_mod_p(L_int, M_int, nd) <= exact
+    # any true upper bound: the certified branch at exact, the exact loop above it
+    upper = data.draw(st.integers(min_value=exact, max_value=nd))
+    assert controllable_dim(L_int, M_int, upper) == exact
+    assert controllable_dim(L_int, M_int, exact) == exact
+
+
+def test_modular_rank_drop_falls_back_to_exact():
+    # L e1 = p e2 vanishes mod p: the modular rank is 1, the true dimension 2
+    L_int = [[], [(0, MODULUS)]]
+    M_int = [[1], [0]]
+    assert _rank_mod_p(L_int, M_int, 2) == 1
+    assert controllable_dim(L_int, M_int, 2) == 2
+    assert controllable_dim(L_int, M_int, 2, backend="float") == 1
+    with pytest.raises(ValueError, match="backend"):
+        controllable_dim(L_int, M_int, 2, backend="svd")

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import fraction_sample_weights, oracle_feasible_partitions, random_graph
 from ssckit import linalg
+from ssckit import ssc
+from ssckit.corpus import load_fixture
 from ssckit.graphs import (
+    EqualConstraint,
+    FixedConstraint,
     MatrixWeightedGraph,
     SignConstraint,
     WeightPattern,
@@ -385,20 +390,73 @@ def test_report_deterministic(diamond_pattern):
     assert a == b and a.to_dict() == b.to_dict()
 
 
-def test_report_samples_reproducible(diamond_pattern):
-    report = estimate_ssc_dimension(diamond_pattern, samples_per_system=4, seed=2)
-    for s in report.systems:
-        system = (
-            ep_constraint_system(diamond_pattern, s.partition)
-            if s.partition is not None
-            else ep_constraint_system(diamond_pattern, None)
-        )
-        for sseed, dim in s.samples:
-            g = sample_weights(system, sseed)
-            redo = controllable_subspace(
-                build_laplacian(g), build_input_matrix(g.leaders, g.n, g.d)
-            ).dim
-            assert redo == dim
+def mixed_pattern(kind, d):
+    """Five nodes, leader 1, with equal, fixed (over 2 and 3) and, for d < 3, sign constraints.
+
+    ``kind`` is "directed", "entrywise" or "transpose"; the fixed block is not
+    symmetric, so the transpose convention shows in the mirrored entries.
+    """
+    edges = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (2, 3)]
+    if kind == "directed":
+        edges += [(4, 1), (5, 2), (3, 2)]
+    names = {e: f"x{i}" for i, e in enumerate(edges)}
+    fixed = tuple(
+        tuple(Fraction(p + 1, 2) if p == q else Fraction(q - p, 3) for q in range(d))
+        for p in range(d)
+    )
+    constraints = [EqualConstraint("x1", "x2"), FixedConstraint("x0", fixed)]
+    if d < 3:  # nine entries of one sign are rarely drawn within the rejection budget
+        constraints.append(SignConstraint("x4", "+"))
+    if d == 1:
+        constraints.append(SignConstraint("x5", "-"))
+    directed = kind == "directed"
+    return WeightPattern.create(
+        5, d, edges, [1], directed=directed, symmetry=None if directed else kind,
+        variable_names=names, constraints=constraints,
+    )
+
+
+@pytest.mark.parametrize("kind", ["directed", "entrywise", "transpose"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_laplacian_rows_match_build_laplacian(kind, d):
+    pattern = mixed_pattern(kind, d)
+    prepared = ssc._pattern_rows(pattern)
+    systems = enumerate_feasible_eps(pattern) + [ep_constraint_system(pattern, None)]
+    assert len(systems) > 1
+    for system in systems:
+        form = ssc._integer_form(system)
+        den = form[0]
+        for seed in range(3):
+            rows = ssc._laplacian_rows(prepared, pattern, ssc._draw(system, form, seed))
+            L = build_laplacian(sample_weights(system, seed))
+            assert len(rows) == L.nrows
+            for row, expect in zip(rows, L.entries):
+                assert all(x != 0 for _, x in row)
+                dense = dict(row)
+                assert [dense.get(c, 0) for c in range(L.ncols)] == [den * x for x in expect]
+    assert any(ssc._integer_form(s)[0] > 1 for s in systems)
+
+
+def test_report_samples_reproducible(diamond_pattern, star4_pattern, k3_pattern):
+    # every reported dimension is the Krylov dimension of the graph
+    # sample_weights draws for that seed; some fall below the system's
+    # certified bound, so both the modular and the exact branch are covered
+    patterns = [diamond_pattern, star4_pattern, k3_pattern,
+                mixed_pattern("directed", 2), mixed_pattern("transpose", 2)]
+    below = 0
+    for pattern in patterns:
+        report = estimate_ssc_dimension(pattern, samples_per_system=4, seed=2)
+        for s in report.systems:
+            system = ep_constraint_system(pattern, s.partition)
+            upper = report.state_dim if s.k is None else pattern.d * s.k
+            for sseed, dim in s.samples:
+                g = sample_weights(system, sseed)
+                redo = controllable_subspace(
+                    build_laplacian(g), build_input_matrix(g.leaders, g.n, g.d)
+                ).dim
+                assert redo == dim <= upper
+                below += dim < upper
+    assert below > 0
 
 
 def test_report_float_backend_labeled(diamond_pattern):
@@ -407,6 +465,25 @@ def test_report_float_backend_labeled(diamond_pattern):
     )
     assert not report.certified
     assert report.to_dict()["certified"] is False
+
+
+PATTERN_FIXTURES = sorted(
+    path.stem for path in (Path(ssc.__file__).parent / "fixtures").glob("*_pattern.json")
+)
+
+
+@pytest.mark.parametrize("name", PATTERN_FIXTURES)
+def test_report_float_backend_matches_exact(name):
+    pattern = load_fixture(name)
+    exact = estimate_ssc_dimension(pattern, samples_per_system=8, seed=5)
+    approx = estimate_ssc_dimension(pattern, samples_per_system=8, seed=5, backend="float")
+    assert approx.sampled_dims == exact.sampled_dims
+    assert exact.certified and not approx.certified
+
+
+def test_report_rejects_unknown_backend(diamond_pattern):
+    with pytest.raises(ValueError, match="backend"):
+        estimate_ssc_dimension(diamond_pattern, samples_per_system=1, backend="mod")
 
 
 # ---------------------------------------------------------------------------
