@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import fraction_sample_weights, oracle_feasible_partitions, random_graph
-from ssckit import linalg
-from ssckit import ssc
+from ssckit import linalg, ssc
 from ssckit.corpus import load_fixture
 from ssckit.graphs import (
     EqualConstraint,
