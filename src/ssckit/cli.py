@@ -17,7 +17,8 @@ from pathlib import Path
 from . import linalg
 from .corpus import run_corpus
 from .graphs import MatrixWeightedGraph, WeightPattern, build_input_matrix, build_laplacian
-from .krylov import controllable_subspace, dual_pair
+from .krylov import controllable_dim, dual_pair, integer_pair, support_bound
+from .krylov import controllable_subspace  # noqa: F401  (kept importable from this module)
 from .netio import ParseError, parse_network
 from .partitions import (
     InvalidPartitionError,
@@ -252,7 +253,8 @@ def cmd_dual(cfg: AnalysisConfig) -> int:
     Lt, _ = dual_pair(L, M)
     self_dual = Lt.entries == L.entries
     # the observability matrix of (L, M) is the transpose of the Krylov matrix of (L^T, M)
-    dim = controllable_subspace(Lt, M, cfg.backend).dim
+    Lt_int, M_int, _, _ = integer_pair(Lt, M)
+    dim = controllable_dim(Lt_int, M_int, support_bound(Lt_int, M_int), cfg.backend)
     rev = reversal_check(g)
     if cfg.fmt == "json":
         sys.stdout.write(dumps({

@@ -6,23 +6,29 @@ Krylov columns (``_exact_rounds``): each round's columns go once through
 carried across rounds, and the iteration stops after the first round that adds
 no pivot (the span is then L-invariant, so later powers add nothing). The
 columns are carried as integers, ``D^k L^k M`` for D the lcm of L's
-denominators, and ``controllable_subspace`` divides them back into Fractions
-only when kept. The "float" backend of ``controllable_subspace`` runs the
-same rounds in its own loop, with an SVD rank of the kept Fraction columns as
-its independence test; it trades certification for speed on larger
-exploratory runs.
+denominators (``integer_pair`` clears them), and ``controllable_subspace``
+divides them back into Fractions only when kept.
+
+``_modular_rounds`` runs the same rounds over GF(``MODULUS``) and multiplies
+only the columns a round keeps: a column whose predecessor was dependent on
+the columns before it is itself dependent on theirs, so the kept set is still
+the lexicographically-first one. Independence mod p implies independence
+over Q, so its count is a lower bound on the dimension. The "float" backend
+of ``controllable_subspace`` keeps the columns independent mod p; it is
+uncertified.
 
 ``controllable_dim`` reads only the dimension of an integer pair and takes a
 certified upper bound u on it (nd always; d*k for a draw from a k-cell
-equitable-partition system). The rank of the Krylov matrix mod the prime
-``MODULUS`` is never above its rank over Q, so when it reaches u the dimension
+equitable-partition system). When the modular rank reaches u the dimension
 is proven with no rational arithmetic; otherwise the exact loop decides,
 stopping at u too. Its "float" backend is the modular rank alone, unchecked.
 
 The observability matrix of (L, M) is the transpose of the Krylov matrix of
-(L^T, M), so its rank is ``controllable_subspace(L^T, M).dim``, which is how
-the CLI reads it; ``observability_matrix`` is the definition, kept for
-library callers and tests.
+(L^T, M), so its rank is the dimension of the dual pair's span: the CLI reads
+it as ``controllable_dim`` of ``integer_pair(L^T, M)``, with ``support_bound``
+(at most nd: the coordinates the inputs reach) as the certified upper bound.
+``observability_matrix`` is the definition, kept for library callers and
+tests.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from fractions import Fraction
 from . import linalg
 from .graphs import BlockMatrix
 
-MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
+MODULUS = linalg.MODULUS
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,21 @@ def _check_pair(L: BlockMatrix, M: BlockMatrix):
         raise ValueError("L must be square")
     if L.d != M.d or L.block_rows != M.block_rows:
         raise ValueError("L and M have mismatched dimensions")
+
+
+def integer_pair(L: BlockMatrix, M: BlockMatrix):
+    """``(L_int, M_int, D, E)``: ``D L`` as sparse int rows and ``E M`` as dense int rows.
+
+    ``D`` and ``E`` are the lcms of the denominators of L and of M; a sparse
+    row is ``[(column, int), ...]`` over its nonzero entries. Positive scales
+    change no span.
+    """
+    L_sparse = [[(c, x) for c, x in enumerate(row) if x] for row in L.entries]
+    D = math.lcm(*(x.denominator for row in L_sparse for _, x in row))
+    L_int = [[(c, x.numerator * (D // x.denominator)) for c, x in row] for row in L_sparse]
+    E = math.lcm(*(x.denominator for row in M.entries for x in row))
+    M_int = [[x.numerator * (E // x.denominator) for x in row] for row in M.entries]
+    return L_int, M_int, D, E
 
 
 def _times(L_int, block):
@@ -79,38 +100,33 @@ def _exact_rounds(L_int, block, limit: int):
         block = _times(L_int, block)
 
 
+def _modular_rounds(L_int, block, limit: int):
+    """The Krylov loop over GF(MODULUS): yields, per round, the indices of the columns it keeps.
+
+    Round 0 tests the columns of ``block``; each later round tests ``L_int``
+    times the columns the round before kept, in their order, so the indices
+    of a round point into the previous round's kept columns. Only kept
+    columns are multiplied: a dependent column's image lies in the span of
+    the images of the columns before it, which are all tested earlier. Ends
+    after a round that keeps nothing or once ``limit`` columns are kept.
+    """
+    p = MODULUS
+    pivots: dict[int, list[int]] = {}
+    cols = [[x % p for x in col] for col in zip(*block)]
+    while True:
+        keep = linalg.independent_mod_p(cols, pivots, limit)
+        yield keep
+        if not keep or len(pivots) >= limit:
+            return
+        cols = [[sum([x * cols[j][c] for c, x in row]) % p for row in L_int] for j in keep]
+
+
 def _rank_mod_p(L_int, block, limit: int) -> int:
     """Rank over GF(MODULUS) of the Krylov matrix of an integer pair, stopping at ``limit``.
 
-    Columns are reduced against an echelon map of monic rows; only the
-    columns a round keeps are multiplied by ``L_int`` for the next round (a
-    column dependent on the earlier ones has its image in the span of theirs
-    and of the current round), so the count is the rank of the whole Krylov
-    matrix mod p, which is never above its rank over the rationals.
+    Never above the rank over the rationals.
     """
-    p = MODULUS
-    pivots: dict[int, list[int]] = {}  # lead -> row, 1 at the lead and 0 left of it
-    cols = [[x % p for x in col] for col in zip(*block)]
-    while cols:
-        kept = []
-        for col in cols:
-            v = col
-            for lead in sorted(pivots):
-                f = v[lead]
-                if f:
-                    v = [(a - f * b) % p for a, b in zip(v, pivots[lead])]
-            for lead, x in enumerate(v):
-                if x:
-                    break
-            else:
-                continue  # dependent
-            inv = pow(x, -1, p)
-            pivots[lead] = [y * inv % p for y in v]
-            if len(pivots) >= limit:
-                return len(pivots)
-            kept.append(col)
-        cols = [[sum([x * col[c] for c, x in row]) % p for row in L_int] for col in kept]
-    return len(pivots)
+    return sum(len(keep) for keep in _modular_rounds(L_int, block, limit))
 
 
 def controllable_dim(L_int, block, upper: int, backend: str = "exact") -> int:
@@ -126,12 +142,34 @@ def controllable_dim(L_int, block, upper: int, backend: str = "exact") -> int:
     ``upper`` must really bound the dimension (nd always does; d*k does for
     a draw from a feasible k-cell system with leaders as singletons).
     """
-    if backend not in linalg.RANK_BACKENDS:
-        raise ValueError(f"unknown rank backend {backend!r}; expected one of {linalg.RANK_BACKENDS}")
+    linalg.check_backend(backend)
     low = _rank_mod_p(L_int, block, upper)
     if low >= upper or backend == "float":
         return low
     return sum(len(kept) for _, kept in _exact_rounds(L_int, block, upper))
+
+
+def support_bound(L_int, block) -> int:
+    """A certified upper bound on dim <L|M>: the size of a coordinate subspace holding it.
+
+    The coordinates reached from the nonzero rows of ``block`` by following
+    ``L_int`` (coordinate c reaches r when ``L[r][c] != 0``) span a subspace
+    that contains im(M) and that L maps into itself, so it holds the whole
+    Krylov span. For the dual pair of a graph these are the leaders and the
+    nodes they reach along out-edges.
+    """
+    reaches: list[list[int]] = [[] for _ in L_int]
+    for r, row in enumerate(L_int):
+        for c, _ in row:
+            reaches[c].append(r)
+    seen = {r for r, row in enumerate(block) if any(row)}
+    stack = list(seen)
+    while stack:
+        for r in reaches[stack.pop()]:
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return len(seen)
 
 
 def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact") -> ControllableSubspace:
@@ -146,36 +184,31 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
 
     The columns are carried as Python ints: with D the lcm of L's
     denominators and E that of M's, round k holds the integer matrix
-    E D^k L^k M, computed from ``D L`` as sparse int rows by ``_exact_rounds``
-    (the loop ``controllable_dim`` falls back to). A positive scale changes
-    no independence, so only a kept column is divided back into Fractions.
-    The float backend runs its own loop that tests each Fraction column by
-    SVD rank. Callers that read only ``.dim`` of an integer pair with a known
-    upper bound use ``controllable_dim`` instead.
+    E D^k L^k M, computed from ``D L`` as sparse int rows (``integer_pair``)
+    by ``_exact_rounds`` (the loop ``controllable_dim`` falls back to). A
+    positive scale changes no independence, so only a kept column is divided
+    back into Fractions. The float backend keeps the columns independent mod
+    p instead (``_modular_rounds``), multiplying only the kept ones. Callers
+    that read only ``.dim`` of an integer pair with a known upper bound use
+    ``controllable_dim`` instead.
     """
     _check_pair(L, M)
+    linalg.check_backend(backend)
     nd = L.nrows
-    L_sparse = [[(c, x) for c, x in enumerate(row) if x] for row in L.entries]
-    D = math.lcm(*(x.denominator for row in L_sparse for _, x in row))
-    L_int = [[(c, x.numerator * (D // x.denominator)) for c, x in row] for row in L_sparse]
-    scale = math.lcm(*(x.denominator for row in M.entries for x in row))
-    # this round's Krylov columns times scale, nd x m
-    block = [[x.numerator * (scale // x.denominator) for x in row] for row in M.entries]
+    L_int, block, D, scale = integer_pair(L, M)
     kept: list[list[Fraction]] = []
     if backend == "exact":
         for block, cols in _exact_rounds(L_int, block, nd):
             kept.extend([Fraction(row[j], scale) for row in block] for j in cols)
             scale *= D
     else:
-        while True:
-            before = len(kept)
-            for col in zip(*block):
-                col = [Fraction(x, scale) for x in col]
-                if len(kept) < nd and linalg.rank(kept + [col], backend) > len(kept):
-                    kept.append(col)
-            if len(kept) in (before, nd):
+        cols = list(zip(*block))
+        for keep in _modular_rounds(L_int, block, nd):
+            cols = [cols[j] for j in keep]
+            kept.extend([Fraction(x, scale) for x in col] for col in cols)
+            if len(kept) == nd:
                 break
-            block = _times(L_int, block)
+            cols = [[sum(x * col[c] for c, x in row) for row in L_int] for col in cols]
             scale *= D
     basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))
     return ControllableSubspace(basis_rows, len(kept))

@@ -6,9 +6,10 @@ elimination (ranks, the Krylov span, EP feasibility) runs on one step,
 (``integer_row`` converts a Fraction vector). ``integer_rref`` keeps its rows
 fully reduced, so ``solve_affine`` can read the solutions off them; ``rank``
 and ``independent_columns`` only need echelon form and skip the back
-reduction. The optional ``float`` rank backend (numpy SVD with a relative
-cutoff, imported only when used) exists for exploratory runs and never feeds
-a certification path.
+reduction. The ``float`` rank backend is the rank over GF(``MODULUS``) of the
+denominator-cleared rows (``independent_mod_p``): never above the rank over
+the rationals and equal to it unless the prime divides some minor, but
+unchecked, so it never feeds a certification path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ Matrix = list[list[Fraction]]
 SparseRow = dict[int, int]  # column -> nonzero integer entry
 
 RANK_BACKENDS = ("exact", "float")
-FLOAT_RANK_CUTOFF = 1e-9
+MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 
 
 def as_fraction(value) -> Fraction:
@@ -85,24 +86,19 @@ def integer_row(vec) -> SparseRow:
     return {c: x.numerator * (den // x.denominator) for c, x in enumerate(vec) if x}
 
 
-def _rank_float(m) -> int:
-    import numpy as np  # only the float backend needs numpy
-
-    if not m or not m[0]:
-        return 0
-    arr = np.array([[float(x) for x in row] for row in m], dtype=float)
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > FLOAT_RANK_CUTOFF * s[0]))
+def check_backend(backend: str) -> None:
+    if backend not in RANK_BACKENDS:
+        raise ValueError(f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}")
 
 
 def rank(m, backend: str = "exact") -> int:
+    check_backend(backend)
+    width = len(m[0]) if m else 0
     if backend == "exact":
-        return len(_independent(m, {}, len(m[0]) if m else 0))
-    if backend == "float":
-        return _rank_float(m)
-    raise ValueError(f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}")
+        return len(_independent(m, {}, width))
+    p = MODULUS
+    residues = ([row.get(c, 0) % p for c in range(width)] for row in map(integer_row, m))
+    return len(independent_mod_p(residues, {}, width))
 
 
 def independent_columns(m, pivots: dict[int, SparseRow] | None = None) -> list[int]:
@@ -124,6 +120,36 @@ def _independent(vectors, piv: dict[int, SparseRow], width: int) -> list[int]:
         if len(piv) == width:
             break
         if _add_row(piv, integer_row(vec), reduced=False) is not None:
+            keep.append(j)
+    return keep
+
+
+def independent_mod_p(vectors, piv: dict[int, list[int]], limit: int) -> list[int]:
+    """Indices of the vectors independent over GF(``MODULUS``) of the ones before them.
+
+    Each vector is a dense list of residues in ``[0, MODULUS)``. ``piv`` maps a
+    lead column to a monic row (1 at the lead, 0 left of it), stored from its
+    lead on; it carries the vectors kept by earlier calls and is extended in
+    place. Scanning stops once ``piv`` holds ``limit`` rows. The modular twin
+    of ``_independent``: a set independent mod p is independent over the
+    rationals, so the count is a lower bound on the rational rank.
+    """
+    p = MODULUS
+    keep = []
+    for j, vec in enumerate(vectors):
+        if len(piv) >= limit:
+            break
+        v = list(vec)
+        for lead in sorted(piv):
+            f = v[lead] % p
+            if f:
+                # entries stay congruent mod p; one reduction at the end suffices
+                v[lead:] = [a - f * b for a, b in zip(v[lead:], piv[lead])]
+        v = [x % p for x in v]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            piv[lead] = [y * inv % p for y in v[lead:]]
             keep.append(j)
     return keep
 

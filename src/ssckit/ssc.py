@@ -26,8 +26,8 @@ from .graphs import (
     FixedConstraint,
     MatrixWeightedGraph,
     WeightPattern,
+    block_transpose,
     build_input_matrix,
-    build_laplacian,
 )
 from .krylov import controllable_dim
 from .krylov import controllable_subspace  # noqa: F401  (kept importable from this module)
@@ -642,23 +642,48 @@ def reversal_check(g: MatrixWeightedGraph) -> ReversalReport:
     """Does reversing every edge realize the transposed Laplacian?
 
     True exactly for undirected graphs with symmetric blocks and for
-    weight-balanced digraphs; the mismatching blocks (typically diagonal
-    degree blocks) are reported otherwise.
+    weight-balanced digraphs with symmetric blocks; the mismatching blocks
+    (typically diagonal degree blocks) are reported otherwise, in row-major
+    order. Read off the edges in one pass: the reversed graph's Laplacian has
+    -A_ji at block (i, j) and the in-sum of node i on its diagonal, while
+    L^T has -A_ji^T there and the transposed out-sum of i. So a block can
+    differ only on the diagonal or at an edge whose block is not symmetric.
     """
     reversed_adj = {(j, i): blk for (i, j), blk in g.adjacency.items()}
     reversed_graph = MatrixWeightedGraph(
         g.n, g.d, g.directed, reversed_adj, g.leaders, g.symmetry
     )
-    L_rev = build_laplacian(reversed_graph)
-    L_t = build_laplacian(g).transpose()
+    d = g.d
+    # per node: its in-sum and its transposed out-sum, entry p*d+q, as
+    # integers over the common denominator of the weights
+    den = math.lcm(*(x.denominator for blk in g.adjacency.values() for row in blk for x in row))
+    in_sum = {v: [0] * (d * d) for v in range(1, g.n + 1)}
+    out_t = {v: [0] * (d * d) for v in range(1, g.n + 1)}
     mismatches = []
-    for bi in range(g.n):
-        for bj in range(g.n):
-            a = L_rev.block(bi, bj)
-            b = L_t.block(bi, bj)
-            if a != b:
-                mismatches.append((bi + 1, bj + 1, a, b))
+    for (j, i), blk in g.adjacency.items():
+        acc_in, acc_out = in_sum[i], out_t[j]
+        for p, row in enumerate(blk):
+            for q, x in enumerate(row):
+                x = x.numerator * (den // x.denominator)
+                acc_in[p * d + q] += x
+                acc_out[q * d + p] += x
+        t = block_transpose(blk)
+        if t != blk:
+            mismatches.append((i, j, _negated(blk), _negated(t)))
+    for v in range(1, g.n + 1):
+        if in_sum[v] != out_t[v]:
+            mismatches.append((v, v, _block(in_sum[v], den, d), _block(out_t[v], den, d)))
+    mismatches.sort(key=lambda m: m[:2])
     return ReversalReport(not mismatches, reversed_graph, tuple(mismatches))
+
+
+def _negated(blk: Block) -> Block:
+    return tuple(tuple(-x for x in row) for row in blk)
+
+
+def _block(flat, den: int, d: int) -> Block:
+    # the d x d block of row-major integer entries over den
+    return tuple(tuple(Fraction(flat[p * d + q], den) for q in range(d)) for p in range(d))
 
 
 def invariant_node_report(report: SSCReport) -> dict:

@@ -23,12 +23,14 @@ from ssckit.graphs import (
     MatrixWeightedGraph,
     WeightPattern,
     block_is_zero,
+    build_laplacian,
 )
 from ssckit.partitions import Partition, verify_equitable
 from ssckit.ssc import (
     REJECTION_BUDGET,
     SAMPLE_RANGE,
     WIDENED_RANGE,
+    ReversalReport,
     _pattern_rows,
     _support_uniform,
     ep_constraint_system,
@@ -146,6 +148,28 @@ def materialized_ctrb(L, M, powers=None):
         ]
         cols.extend(list(col) for col in zip(*block))
     return [[cols[c][r] for c in range(len(cols))] for r in range(nd)]
+
+
+def reference_reversal_check(g: MatrixWeightedGraph) -> ReversalReport:
+    """``ssc.reversal_check`` by its definition: compare all n^2 blocks of L_rev and L^T.
+
+    Builds the reversed graph's Laplacian and the transposed Laplacian as
+    dense matrices and reports every differing block, row-major.
+    """
+    reversed_adj = {(j, i): blk for (i, j), blk in g.adjacency.items()}
+    reversed_graph = MatrixWeightedGraph(
+        g.n, g.d, g.directed, reversed_adj, g.leaders, g.symmetry
+    )
+    L_rev = build_laplacian(reversed_graph)
+    L_t = build_laplacian(g).transpose()
+    mismatches = []
+    for bi in range(g.n):
+        for bj in range(g.n):
+            a = L_rev.block(bi, bj)
+            b = L_t.block(bi, bj)
+            if a != b:
+                mismatches.append((bi + 1, bj + 1, a, b))
+    return ReversalReport(not mismatches, reversed_graph, tuple(mismatches))
 
 
 def fraction_sample_weights(system, seed):

@@ -385,6 +385,14 @@ def test_dual_float_fields_agree(capsys, tmp_path):
     assert doc["observability_rank"] == doc["dual_controllable_dim"]
 
 
+@pytest.mark.parametrize("n,d", [(20, 2), (30, 2), (60, 1), (80, 1)])
+def test_dual_float_backend_matches_exact_on_larger_graphs(capsys, tmp_path, n, d):
+    # an SVD rank with a relative cutoff reported far below the exact rank here
+    g = random_graph(random.Random(1), n, d, density=0.3, leaders=[1])
+    exact = _dual_json(capsys, tmp_path, g)
+    assert _dual_json(capsys, tmp_path, g, "--backend", "float") == exact
+
+
 def test_corpus_command(capsys):
     code, out, _ = run(capsys, "corpus", "--samples", "6")
     assert code == 0
@@ -424,7 +432,7 @@ def test_input_file_is_closed(capsys):
 
 
 def test_import_does_not_load_numpy():
-    # numpy is imported by the float rank backend only
+    # no backend needs numpy
     probe = "import sys, ssckit.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

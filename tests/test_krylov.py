@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     materialized_ctrb,
+    random_ep_lift,
     random_graph,
     sympy_domain_rank,
     sympy_pivots,
@@ -25,11 +25,13 @@ from ssckit.krylov import (
     controllable_dim,
     controllable_subspace,
     dual_pair,
+    integer_pair,
     is_controllable,
     negated,
     observability_matrix,
     shifted,
     spans_equal,
+    support_bound,
 )
 
 
@@ -209,13 +211,6 @@ def test_float_backend_agrees_on_small_graphs():
         assert exact.dim == approx.dim
 
 
-def integer_pair(L, M):
-    """(D L as sparse int rows, M as dense int rows) for D the lcm of L's denominators."""
-    D = math.lcm(*(x.denominator for row in L.entries for x in row))
-    L_int = [[(c, int(x * D)) for c, x in enumerate(row) if x] for row in L.entries]
-    return L_int, [[int(x) for x in row] for row in M.entries]
-
-
 @st.composite
 def krylov_pairs(draw):
     d = draw(st.integers(min_value=1, max_value=3))
@@ -236,7 +231,7 @@ def test_controllable_dim_matches_exact_and_sympy(pair, data):
     # nd up to 24, beyond the materialized oracles above
     L, M = pair
     nd = L.nrows
-    L_int, M_int = integer_pair(L, M)
+    L_int, M_int, _, _ = integer_pair(L, M)
     exact = controllable_subspace(L, M).dim
     assert exact == sympy_domain_rank(materialized_ctrb(L, M))
     assert controllable_dim(L_int, M_int, nd) == exact
@@ -245,6 +240,36 @@ def test_controllable_dim_matches_exact_and_sympy(pair, data):
     upper = data.draw(st.integers(min_value=exact, max_value=nd))
     assert controllable_dim(L_int, M_int, upper) == exact
     assert controllable_dim(L_int, M_int, exact) == exact
+
+
+@st.composite
+def dual_graphs(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()):
+        # a planted equitable partition: the dual span is often deficient,
+        # so controllable_dim falls back to the exact loop
+        return random_ep_lift(rng)[0]
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=2, max_value=24 // d))
+    leaders = sorted(rng.sample(range(1, n + 1), draw(st.integers(min_value=1, max_value=2))))
+    return random_graph(
+        rng, n, d, directed=draw(st.booleans()),
+        density=draw(st.sampled_from([0.1, 0.25, 0.5])), leaders=leaders,
+        max_den=draw(st.sampled_from([1, 4])),
+    )
+
+
+@given(dual_graphs())
+@settings(max_examples=60, deadline=None)
+def test_dual_rank_matches_sympy_observability_rank(g):
+    # the CLI's reading of the observability rank, against its definition, nd up to 24
+    L, M = pair_for(g)
+    Lt_int, M_int, _, _ = integer_pair(L.transpose(), M)
+    rank = sympy_domain_rank(observability_matrix(L, M))
+    upper = support_bound(Lt_int, M_int)
+    assert rank <= upper <= L.nrows
+    assert controllable_dim(Lt_int, M_int, L.nrows) == rank
+    assert controllable_dim(Lt_int, M_int, upper) == rank
 
 
 def test_modular_rank_drop_falls_back_to_exact():

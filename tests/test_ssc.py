@@ -3,8 +3,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fraction_sample_weights, oracle_feasible_partitions, random_graph
+from helpers import (
+    fraction_sample_weights,
+    oracle_feasible_partitions,
+    rand_block,
+    random_graph,
+    reference_reversal_check,
+)
 from ssckit import linalg, ssc
 from ssckit.corpus import load_fixture
 from ssckit.graphs import (
@@ -13,6 +21,9 @@ from ssckit.graphs import (
     MatrixWeightedGraph,
     SignConstraint,
     WeightPattern,
+    block_add,
+    block_is_zero,
+    block_transpose,
     build_input_matrix,
     build_laplacian,
 )
@@ -520,3 +531,47 @@ def test_reversal_undirected_asymmetric_blocks():
     result = reversal_check(g)
     assert not result.holds
     assert result.reversed_graph == g
+
+
+def _weight_balanced(rng, n, d, symmetric):
+    # a sum of directed cycles, each with one block on all its arcs
+    edges = {}
+    for _ in range(rng.randint(1, 3)):
+        cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
+        blk = rand_block(rng, d)
+        if symmetric:
+            blk = block_add(blk, block_transpose(blk))
+        for arc in zip(cycle, cycle[1:] + cycle[:1]):
+            edges[arc] = block_add(edges[arc], blk) if arc in edges else blk
+    edges = {arc: blk for arc, blk in edges.items() if not block_is_zero(blk)}
+    return MatrixWeightedGraph.create(n, d, edges, [1], directed=True)
+
+
+@st.composite
+def reversal_graphs(draw):
+    kind = draw(st.sampled_from(["directed", "entrywise", "transpose", "balanced"]))
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=2, max_value=7))
+    symmetric = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if kind == "balanced":
+        return kind, symmetric, _weight_balanced(rng, n, d, symmetric)
+    g = random_graph(rng, n, d, directed=kind == "directed",
+                     density=draw(st.sampled_from([0.2, 0.5, 0.9])),
+                     symmetric_blocks=symmetric, max_den=draw(st.sampled_from([1, 3])))
+    if kind == "transpose":
+        g = MatrixWeightedGraph.create(
+            n, d, {e: b for e, b in g.adjacency.items() if e[0] < e[1]}, g.leaders,
+            symmetry="transpose",
+        )
+    return kind, symmetric, g
+
+
+@given(reversal_graphs())
+@settings(max_examples=150, deadline=None)
+def test_reversal_check_matches_the_block_reference(case):
+    kind, symmetric, g = case
+    report = reversal_check(g)
+    assert report == reference_reversal_check(g)
+    if symmetric and kind != "directed":
+        assert report.holds
