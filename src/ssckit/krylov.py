@@ -139,8 +139,9 @@ def controllable_dim(L_int, block, upper: int, backend: str = "exact") -> int:
     reaches ``upper`` it is the dimension, proven without rational
     arithmetic. Otherwise the exact loop decides, stopping at ``upper`` as
     well. The "float" backend returns the mod-p rank with no exact check.
-    ``upper`` must really bound the dimension (nd always does; d*k does for
-    a draw from a feasible k-cell system with leaders as singletons).
+    ``upper`` must really bound the dimension (nd always does, and so does
+    ``support_bound``; d*k does for a draw from a feasible k-cell system with
+    leaders as singletons).
     """
     linalg.check_backend(backend)
     low = _rank_mod_p(L_int, block, upper)
