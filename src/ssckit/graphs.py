@@ -198,43 +198,49 @@ class MatrixWeightedGraph:
         return cls(n, d, directed, adjacency, tuple(leaders), symmetry)
 
 
+def cell_sums(g: MatrixWeightedGraph, cells, direction: str = "out") -> dict[int, dict[int, Block]]:
+    """``{node: {cell index: block sum}}`` over 0-based indices into ``cells``, in one edge pass.
+
+    ``direction="out"`` sums A_ij over the j in a cell (the equitable-partition test);
+    ``"in"`` sums A_ji, for dual analysis. A cell the node has no edge into is absent
+    (cancelling edges leave a zero block); edges into no cell are left out.
+    """
+    if direction not in ("out", "in"):
+        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+    cell_of = {v: idx for idx, cell in enumerate(cells) for v in cell}
+    sums: dict[int, dict[int, Block]] = {}
+    for (i, j), blk in g.adjacency.items():
+        node, target = (i, j) if direction == "out" else (j, i)
+        idx = cell_of.get(target)
+        if idx is not None:
+            row = sums.setdefault(node, {})
+            row[idx] = block_add(row[idx], blk) if idx in row else blk
+    return sums
+
+
 def degree(g: MatrixWeightedGraph, i: int) -> Block:
     """Block sum of the weights from node i to its (out-)neighbors."""
     if not 1 <= i <= g.n:
         raise ValueError(f"node index {i} out of range 1..{g.n}")
-    total = block_zeros(g.d)
-    for (a, _), blk in g.adjacency.items():
-        if a == i:
-            total = block_add(total, blk)
-    return total
+    return cell_sums(g, [range(1, g.n + 1)]).get(i, {}).get(0, block_zeros(g.d))
 
 
 def cell_degree(g: MatrixWeightedGraph, i: int, cell: Iterable[int], direction: str = "out") -> Block:
-    """Block sum of the weights between node i and the nodes of ``cell``.
-
-    ``direction="out"`` sums A_ij over j in the cell (the default used by the
-    equitable-partition test); ``"in"`` sums A_ji instead, for dual analysis.
-    """
+    """Block sum of the weights between node i and the nodes of ``cell``, as in ``cell_sums``."""
     if not 1 <= i <= g.n:
         raise ValueError(f"node index {i} out of range 1..{g.n}")
     members = set(cell)
     for j in members:
         if not 1 <= j <= g.n:
             raise ValueError(f"node index {j} out of range 1..{g.n}")
-    total = block_zeros(g.d)
-    for j in members:
-        blk = g.adjacency.get((i, j) if direction == "out" else (j, i))
-        if blk is not None:
-            total = block_add(total, blk)
-    return total
+    return cell_sums(g, [members], direction).get(i, {}).get(0, block_zeros(g.d))
 
 
-def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
-    """L = D - A with block diagonal D of (signed) degrees; block rows sum to zero."""
-    n, d = g.n, g.d
+def laplacian_of(n: int, d: int, adjacency: Mapping[Edge, Block]) -> BlockMatrix:
+    """L = D - A over n block rows from 1-based ``{(i, j): block}``; block rows sum to zero."""
     rows = [[Fraction(0)] * (n * d) for _ in range(n * d)]
     # one pass over the edges: each block adds into its tail's degree block
-    for (i, j), blk in g.adjacency.items():
+    for (i, j), blk in adjacency.items():
         bi, bj = (i - 1) * d, (j - 1) * d
         for p in range(d):
             row = rows[bi + p]
@@ -242,6 +248,11 @@ def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
                 row[bi + q] += blk[p][q]
                 row[bj + q] = -blk[p][q]
     return BlockMatrix(n, n, d, tuple(tuple(row) for row in rows))
+
+
+def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
+    """L = D - A with block diagonal D of (signed) degrees; block rows sum to zero."""
+    return laplacian_of(g.n, g.d, g.adjacency)
 
 
 def build_input_matrix(leaders: Iterable[int], n: int, d: int) -> BlockMatrix:

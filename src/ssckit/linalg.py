@@ -40,7 +40,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         try:
             return Fraction(Decimal(repr(value)))
-        except InvalidOperation as exc:
+        except (InvalidOperation, OverflowError) as exc:  # inf overflows
             raise ValueError(f"cannot convert {value!r} to a rational") from exc
     if isinstance(value, str):
         try:

@@ -23,9 +23,10 @@ from .graphs import (
 )
 from .render import block_to_json
 
-# Largest state dimension n*d a document may declare. Laplacians, input
-# matrices and the ep/dual paths are dense nd x nd Fraction lists, so a larger
-# document is refused as a bad argument (exit 3) before anything is built.
+# Largest state dimension n*d a document may declare. `laplacian` and `dual`
+# build dense nd x nd Fraction matrices (`quotient` a kd x kd one; `ep` none, at
+# O(edges + n) per refinement round), so a larger document is refused as a bad
+# argument (exit 3) before anything is built.
 MAX_STATE_DIM = 1024
 
 
@@ -125,6 +126,9 @@ def parse_network(text: str):
             raise ParseError(str(exc)) from None
 
     # pattern: named variables, optional inline weights become fixed constraints
+    for key in ("variables", "constraints"):
+        if not isinstance(doc.get(key, []), list):
+            raise ParseError(f"field {key!r} must be a list", key)
     var_names: dict[tuple[int, int], str] = {}
     declared = set(edges) if directed else {(min(a, b), max(a, b)) for a, b in edges}
     for idx, v in enumerate(doc.get("variables", [])):

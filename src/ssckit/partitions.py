@@ -5,7 +5,9 @@ canonical form: cells ordered by smallest member, members ascending. A
 partition is equitable when any two nodes of one cell have equal block
 weight-sums into every cell; the quotient graph then carries those sums as
 directed block weights, and its Laplacian satisfies the exact lift identity
-L P = P L_q certified by verify_lift.
+L P = P L_q certified by verify_lift. The EP test, the refinement and the
+quotient read every block sum from one ``graphs.cell_sums`` table (one pass over
+the edges) per call, or per refinement round.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .graphs import (
     Block,
     BlockMatrix,
     MatrixWeightedGraph,
     block_is_zero,
-    cell_degree,
+    block_zeros,
+    cell_sums,
+    laplacian_of,
 )
 
 
@@ -129,14 +132,16 @@ def verify_equitable(
 ) -> EPReport:
     """Check the equitable-partition condition, enumerating every violating tuple."""
     pi = partition_of(pi.cells, g.n)
+    sums = cell_sums(g, pi.cells, direction)
+    zero = block_zeros(g.d)
     violations = []
     for ci, cell in enumerate(pi.cells, start=1):
         for r, s in itertools.combinations(cell, 2):
-            for cj, target in enumerate(pi.cells, start=1):
+            for cj in range(1, pi.k + 1):
                 if not include_same_cell and cj == ci:
                     continue
-                sum_r = cell_degree(g, r, target, direction)
-                sum_s = cell_degree(g, s, target, direction)
+                sum_r = sums.get(r, {}).get(cj - 1, zero)
+                sum_s = sums.get(s, {}).get(cj - 1, zero)
                 if sum_r != sum_s:
                     violations.append(EPViolation(ci, r, s, cj, sum_r, sum_s))
     return EPReport(not violations, tuple(violations))
@@ -149,8 +154,9 @@ def coarsest_ep(
 ) -> Partition:
     """Coarsest equitable partition keeping each protected node in a singleton cell.
 
-    Iterated splitting on the per-cell block-degree signature; the cell count
-    strictly increases until stable, so at most n rounds run.
+    Each round reads every node's block sums into the current cells from one
+    ``cell_sums`` table and splits each cell by its nodes' nonzero sums; a
+    round that adds no cell ends the loop, so at most n rounds run.
     """
     protected = sorted(set(int(v) for v in protected))
     for v in protected:
@@ -162,26 +168,19 @@ def coarsest_ep(
         cells.append(tuple(rest))
 
     while True:
+        sums = cell_sums(g, cells, direction)
         new_cells: list[tuple[int, ...]] = []
-        changed = False
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[tuple, list[int]] = {}
+            groups: dict[frozenset, list[int]] = {}
             for v in cell:
-                sig = tuple(cell_degree(g, v, other, direction) for other in cells)
+                # edges into a cell that cancel count as no edges there
+                sig = frozenset((c, blk) for c, blk in sums.get(v, {}).items()
+                                if not block_is_zero(blk))
                 groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for members in sorted(groups.values()):
-                    new_cells.append(tuple(members))
+            new_cells.extend(tuple(members) for members in sorted(groups.values()))
+        if len(new_cells) == len(cells):
+            return Partition(tuple(cells))
         cells = new_cells
-        if not changed:
-            break
-    return Partition(tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -206,42 +205,27 @@ def quotient(g: MatrixWeightedGraph, pi: Partition) -> QuotientGraph:
             f"partition is not equitable: nodes {v.r} and {v.s} of cell {v.cell} "
             f"have unequal sums into cell {v.target_cell}"
         )
-    pi = partition_of(pi.cells, g.n)
+    sums = cell_sums(g, pi.cells)
     adjacency: dict[tuple[int, int], Block] = {}
-    for i, cell_i in enumerate(pi.cells, start=1):
-        rep = cell_i[0]
-        for j, cell_j in enumerate(pi.cells, start=1):
-            if i == j:
-                continue
-            w = cell_degree(g, rep, cell_j)
-            if not block_is_zero(w):
-                adjacency[(i, j)] = w
+    for i, cell in enumerate(pi.cells):
+        for j, w in sorted(sums.get(cell[0], {}).items()):
+            if j != i and not block_is_zero(w):
+                adjacency[(i + 1, j + 1)] = w
     return QuotientGraph(pi.cells, g.d, adjacency)
 
 
 def quotient_laplacian(q: QuotientGraph) -> BlockMatrix:
     """Laplacian of the quotient: diagonal (i,i) sums d(V_i, V_j) over the other cells."""
-    k, d = q.k, q.d
-    rows = [[Fraction(0)] * (k * d) for _ in range(k * d)]
-    for (i, j), blk in q.adjacency.items():
-        for p in range(d):
-            for r in range(d):
-                rows[(i - 1) * d + p][(j - 1) * d + r] = -blk[p][r]
-                rows[(i - 1) * d + p][(i - 1) * d + r] += blk[p][r]
-    return BlockMatrix(k, k, d, tuple(tuple(row) for row in rows))
+    return laplacian_of(q.k, q.d, q.adjacency)
 
 
 def verify_lift(L: BlockMatrix, P: BlockMatrix, Lq: BlockMatrix) -> bool:
-    """Certify L P = P Lq exactly and that im(P) is L-invariant."""
+    """Certify L P = P Lq exactly, and with it that im(P) is L-invariant."""
     if L.d != P.d or P.d != Lq.d:
         raise ValueError("block dimension mismatch")
     if L.block_rows != L.block_cols or Lq.block_rows != Lq.block_cols:
         raise ValueError("L and Lq must be square")
     if L.block_cols != P.block_rows or P.block_cols != Lq.block_rows:
         raise ValueError("L, P, Lq are not conformable")
-    LP = L @ P
-    if LP.entries != (P @ Lq).entries:
-        return False
-    P_rows = P.to_lists()
-    stacked = linalg.hstack(P_rows, LP.to_lists())
-    return linalg.rank(stacked) == linalg.rank(P_rows)
+    # every column of L P = P Lq lies in im(P), so no rank test is needed
+    return (L @ P).entries == (P @ Lq).entries

@@ -562,8 +562,8 @@ def estimate_ssc_dimension(
     the leaders as singletons, so im(P) is L-invariant and contains im(M))
     and n*d for the unconstrained one. Each sampled dimension equals
     ``controllable_subspace(build_laplacian(g), M).dim`` for
-    ``g = sample_weights(system, seed)``; only the witness draw is built as
-    a graph. Under ``backend="float"`` the modular rank is reported unchecked.
+    ``g = sample_weights(system, seed)``; no draw is built as a graph. Under
+    ``backend="float"`` the modular rank is reported unchecked.
     """
     if samples_per_system < 1:
         raise ValueError("samples_per_system must be >= 1")
@@ -589,11 +589,9 @@ def estimate_ssc_dimension(
             sseed = _derive_seed(seed, key, i)
             vec = _draw(system, form, sseed)
             if system is minsys and witness_weights is None:
-                g = _graph(pattern, form[0], vec)
-                keys = sorted(g.adjacency) if g.directed else sorted(
-                    {(min(a, b), max(a, b)) for (a, b) in g.adjacency}
-                )
-                witness_weights = tuple((e, g.adjacency[e]) for e in keys)
+                values = [Fraction(x, form[0]) for x in vec]
+                witness_weights = tuple((e, _block_of(pattern, values, idx))
+                                        for idx, e in enumerate(pattern.edges))
             L_int = _laplacian_rows(prepared, pattern, vec)
             samples.append((sseed, controllable_dim(L_int, inputs, upper, backend)))
         results.append(SystemSamples(system.partition, system.k, tuple(samples)))

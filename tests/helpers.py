@@ -22,10 +22,20 @@ from ssckit.graphs import (
     FixedConstraint,
     MatrixWeightedGraph,
     WeightPattern,
+    block_add,
     block_is_zero,
+    block_zeros,
     build_laplacian,
 )
-from ssckit.partitions import Partition, verify_equitable
+from ssckit.partitions import (
+    EPReport,
+    EPViolation,
+    NotEquitableError,
+    Partition,
+    QuotientGraph,
+    partition_of,
+    verify_equitable,
+)
 from ssckit.ssc import (
     REJECTION_BUDGET,
     SAMPLE_RANGE,
@@ -170,6 +180,107 @@ def reference_reversal_check(g: MatrixWeightedGraph) -> ReversalReport:
             if a != b:
                 mismatches.append((bi + 1, bj + 1, a, b))
     return ReversalReport(not mismatches, reversed_graph, tuple(mismatches))
+
+
+# ---------------------------------------------------------------------------
+# per-pair references for graphs.cell_sums and its readers: one scan of the
+# edges per (node, cell) sum, as the library did before the one-pass table
+# ---------------------------------------------------------------------------
+
+def reference_degree(g: MatrixWeightedGraph, i: int):
+    """``graphs.degree`` as a scan of every edge for those leaving node i."""
+    if not 1 <= i <= g.n:
+        raise ValueError(f"node index {i} out of range 1..{g.n}")
+    total = block_zeros(g.d)
+    for (a, _), blk in g.adjacency.items():
+        if a == i:
+            total = block_add(total, blk)
+    return total
+
+
+def reference_cell_degree(g: MatrixWeightedGraph, i: int, cell, direction="out"):
+    """``graphs.cell_degree`` as one adjacency lookup per member of the cell."""
+    if not 1 <= i <= g.n:
+        raise ValueError(f"node index {i} out of range 1..{g.n}")
+    members = set(cell)
+    for j in members:
+        if not 1 <= j <= g.n:
+            raise ValueError(f"node index {j} out of range 1..{g.n}")
+    total = block_zeros(g.d)
+    for j in members:
+        blk = g.adjacency.get((i, j) if direction == "out" else (j, i))
+        if blk is not None:
+            total = block_add(total, blk)
+    return total
+
+
+def reference_verify_equitable(g, pi, include_same_cell=True, direction="out") -> EPReport:
+    """``partitions.verify_equitable`` with one ``reference_cell_degree`` per pair and cell."""
+    pi = partition_of(pi.cells, g.n)
+    violations = []
+    for ci, cell in enumerate(pi.cells, start=1):
+        for r, s in itertools.combinations(cell, 2):
+            for cj, target in enumerate(pi.cells, start=1):
+                if not include_same_cell and cj == ci:
+                    continue
+                sum_r = reference_cell_degree(g, r, target, direction)
+                sum_s = reference_cell_degree(g, s, target, direction)
+                if sum_r != sum_s:
+                    violations.append(EPViolation(ci, r, s, cj, sum_r, sum_s))
+    return EPReport(not violations, tuple(violations))
+
+
+def reference_coarsest_ep(g, protected=(), direction="out") -> Partition:
+    """``partitions.coarsest_ep`` splitting on zero-filled per-cell signature tuples."""
+    protected = sorted(set(int(v) for v in protected))
+    for v in protected:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"protected node {v} out of range 1..{g.n}")
+    rest = [v for v in range(1, g.n + 1) if v not in protected]
+    cells = [(v,) for v in protected]
+    if rest:
+        cells.append(tuple(rest))
+    while True:
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple(reference_cell_degree(g, v, other, direction) for other in cells)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for members in sorted(groups.values()):
+                    new_cells.append(tuple(members))
+        cells = new_cells
+        if not changed:
+            break
+    return Partition(tuple(cells))
+
+
+def reference_quotient(g, pi) -> QuotientGraph:
+    """``partitions.quotient`` reading each cell pair's weight off the cell's first node."""
+    report = reference_verify_equitable(g, pi)
+    if not report.verdict:
+        v = report.violations[0]
+        raise NotEquitableError(
+            f"partition is not equitable: nodes {v.r} and {v.s} of cell {v.cell} "
+            f"have unequal sums into cell {v.target_cell}"
+        )
+    pi = partition_of(pi.cells, g.n)
+    adjacency = {}
+    for i, cell_i in enumerate(pi.cells, start=1):
+        for j, cell_j in enumerate(pi.cells, start=1):
+            if i != j:
+                w = reference_cell_degree(g, cell_i[0], cell_j)
+                if not block_is_zero(w):
+                    adjacency[(i, j)] = w
+    return QuotientGraph(pi.cells, g.d, adjacency)
 
 
 def fraction_sample_weights(system, seed):

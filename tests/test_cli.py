@@ -86,6 +86,18 @@ def test_non_string_variable_name_exit2(tmp_path, capsys):
     assert code == 2 and out == "" and "variables[1]" in err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("bound", '{"n": 2, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}], "variables": 5}'),
+    ("bound", '{"n": 2, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}], "constraints": 5}'),
+    ("laplacian", '{"n": 2, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2, "weight": 1e400}]}'),
+], ids=["variables", "constraints", "inf_weight"])
+def test_malformed_field_exit2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == "" and "parse error" in err
+
+
 def test_laplacian_rejects_pattern(capsys):
     code, _, err = run(capsys, "laplacian", "--input",
                        str(FIXTURES / "diamond_pattern.json"))
@@ -253,6 +265,20 @@ def test_bound_twelve_follower_cycle(tmp_path, capsys):
     assert doc["k_min"] == 7 and doc["bound"] == 7
     assert doc["witness"]["partition"] == [[1], [2, 13], [3, 12], [4, 11], [5, 10],
                                            [6, 9], [7, 8]]
+
+
+@pytest.mark.parametrize("command,key", [("ep", "coarsest_ep"), ("quotient", "partition")])
+def test_long_path_refines_in_seconds(tmp_path, capsys, command, key):
+    # every node of a path led from one end is at its own distance from the leader
+    n = 400
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": n, "d": 1, "leaders": [1], "edges": [
+        {"i": i, "j": i + 1, "weight": [[1]]} for i in range(1, n)]}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, command, "--input", str(path), "--format", "json")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert json.loads(out)[key] == [[v] for v in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("command", ["laplacian", "bound", "dual"])

@@ -15,6 +15,7 @@ from ssckit.graphs import (
     build_input_matrix,
     build_laplacian,
     cell_degree,
+    cell_sums,
     degree,
 )
 
@@ -56,6 +57,16 @@ def test_cell_degree_directions():
     assert cell_degree(g, 1, {2}, "out") == ((Fraction(5),),)
     assert cell_degree(g, 1, {2}, "in") == ((Fraction(0),),)
     assert cell_degree(g, 2, {1}, "in") == ((Fraction(5),),)
+
+
+def test_cell_sums_table():
+    # 2 -> {3, 4} cancels, 4 -> 1 points outside every cell, 3 has no edges
+    g = scalar_graph(5, {(1, 2): 2, (2, 3): 1, (2, 4): -1, (4, 1): 7, (5, 3): 4}, directed=True)
+    cells = [(2,), (3, 4), (5,)]
+    one = lambda x: ((Fraction(x),),)
+    assert cell_sums(g, cells) == {1: {0: one(2)}, 2: {1: one(0)}, 5: {1: one(4)}}
+    assert cell_sums(g, cells, "in") == {1: {1: one(7)}, 3: {0: one(1), 2: one(4)},
+                                         4: {0: one(-1)}}
 
 
 def test_laplacian_path3(path3):

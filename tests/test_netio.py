@@ -95,6 +95,16 @@ def test_parse_error_catalogue():
         doc = dict(base, constraints=[{"kind": kind, "args": args}])
         with pytest.raises(ParseError, match=r"constraints\[0\]"):
             parse_network(json.dumps(doc))
+    # "variables" and "constraints" must be lists when present
+    pattern = {"n": 2, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}]}
+    for key, value in (("variables", 5), ("variables", None), ("constraints", 5)):
+        with pytest.raises(ParseError, match=key):
+            parse_network(json.dumps(dict(pattern, **{key: value})))
+    # 1e400 reads as inf, which has no rational value (nor has NaN)
+    for weight in ("1e400", "-1e400", "NaN"):
+        with pytest.raises(ParseError, match=r"edges\[0\]\.weight"):
+            parse_network('{"n": 2, "d": 1, "leaders": [1], '
+                          '"edges": [{"i": 1, "j": 2, "weight": [[%s]]}]}' % weight)
 
 
 def test_parse_rational_and_scalar_forms():

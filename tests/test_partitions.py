@@ -1,15 +1,31 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_coarsest, random_ep_lift, random_graph, refines
+from helpers import (
+    brute_force_coarsest,
+    random_ep_lift,
+    random_graph,
+    reference_cell_degree,
+    reference_coarsest_ep,
+    reference_degree,
+    reference_quotient,
+    reference_verify_equitable,
+    refines,
+)
 from ssckit import linalg
 from ssckit.graphs import (
     BlockMatrix,
     MatrixWeightedGraph,
     build_laplacian,
     cell_degree,
+    cell_sums,
+    degree,
 )
 from ssckit.partitions import (
     InvalidPartitionError,
@@ -226,6 +242,13 @@ def test_coarsest_ep_protected_out_of_range(diamond):
         coarsest_ep(diamond, [9])
 
 
+def test_coarsest_ep_cancelling_sums_count_as_no_edges():
+    # node 2's edges into {2, 3, 4, 5} sum to zero, like those of 3, 4 and 5
+    g = scalar_graph(5, {(2, 3): 1, (2, 4): -1}, directed=True)
+    want = Partition(((1,), (2, 3, 4, 5)))
+    assert coarsest_ep(g, (1,)) == reference_coarsest_ep(g, (1,)) == want
+
+
 # ---------------------------------------------------------------------------
 # quotients and the lift identity
 # ---------------------------------------------------------------------------
@@ -335,3 +358,71 @@ def test_lift_identity_on_random_ep_lifts():
         L = build_laplacian(g)
         P = characteristic_matrix(pi, g.n, g.d)
         assert verify_lift(L, P, quotient_laplacian(q))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass cell-sum table against the per-pair references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def partitioned_graphs(draw):
+    """(graph, partition) with d = 1..3: a planted EP lift, or a directed,
+    entrywise or transpose graph with small signed entries (so sums into a
+    cell often cancel) and a random partition."""
+    kind = draw(st.sampled_from(("planted", "directed", "entrywise", "transpose")))
+    if kind == "planted":
+        g, pi, _ = random_ep_lift(random.Random(draw(st.integers(0, 2**32))),
+                                  d_choices=(1, 2, 3))
+        return g, pi
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    directed = kind == "directed"
+    pairs = (itertools.permutations if directed else itertools.combinations)(range(1, n + 1), 2)
+    row = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    block = st.lists(row, min_size=d, max_size=d).filter(lambda b: any(any(r) for r in b))
+    edges = {pair: draw(block) for pair in pairs if draw(st.booleans())}
+    g = MatrixWeightedGraph.create(n, d, edges, [1], directed=directed,
+                                   symmetry=None if directed else kind)
+    cells = {}
+    for v, label in enumerate(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), 1):
+        cells.setdefault(label, []).append(v)
+    return g, Partition(tuple(tuple(c) for c in cells.values()))
+
+
+@given(partitioned_graphs(), st.sampled_from(("out", "in")))
+@settings(max_examples=200, deadline=None)
+def test_cell_sums_readers_match_per_pair_references(case, direction):
+    g, pi = case
+    sums = cell_sums(g, pi.cells, direction)
+    for v in range(1, g.n + 1):
+        assert degree(g, v) == reference_degree(g, v)
+        for idx, cell in enumerate(pi.cells):
+            want = reference_cell_degree(g, v, cell, direction)
+            assert cell_degree(g, v, cell, direction) == want
+            edge = any(((v, w) if direction == "out" else (w, v)) in g.adjacency for w in cell)
+            assert sums.get(v, {}).get(idx) == (want if edge else None)
+    for same in (True, False):
+        assert (verify_equitable(g, pi, same, direction)
+                == reference_verify_equitable(g, pi, same, direction))
+    for protected in ((), g.leaders, pi.cells[-1]):
+        assert (coarsest_ep(g, protected, direction)
+                == reference_coarsest_ep(g, protected, direction))
+    for p in (pi, coarsest_ep(g, g.leaders)):
+        try:
+            want = reference_quotient(g, p)
+        except NotEquitableError as exc:
+            with pytest.raises(NotEquitableError, match=re.escape(str(exc))):
+                quotient(g, p)
+        else:
+            got = quotient(g, p)
+            assert got == want and list(got.adjacency) == list(want.adjacency)
+
+
+def test_unknown_direction_raises(diamond):
+    pi = Partition(((1,), (2, 3), (4,)))
+    for call in (lambda: cell_sums(diamond, pi.cells, "both"),
+                 lambda: cell_degree(diamond, 1, {2}, "OUT"),
+                 lambda: verify_equitable(diamond, pi, direction="reverse"),
+                 lambda: coarsest_ep(diamond, (1,), direction="")):
+        with pytest.raises(ValueError, match="direction"):
+            call()
