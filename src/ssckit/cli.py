@@ -16,8 +16,15 @@ from pathlib import Path
 
 from . import linalg
 from .corpus import run_corpus
-from .graphs import MatrixWeightedGraph, WeightPattern, build_input_matrix, build_laplacian
-from .krylov import controllable_dim, dual_pair, integer_pair, support_bound
+from .graphs import (
+    MatrixWeightedGraph,
+    WeightPattern,
+    build_input_matrix,
+    build_laplacian,
+    integer_edges,
+    laplacian_rows,
+)
+from .krylov import controllable_dim, support_bound
 from .krylov import controllable_subspace  # noqa: F401  (kept importable from this module)
 from .netio import ParseError, parse_network
 from .partitions import (
@@ -248,12 +255,17 @@ def cmd_bound(cfg: AnalysisConfig) -> int:
 
 def cmd_dual(cfg: AnalysisConfig) -> int:
     g = _load_graph(cfg)
-    L = build_laplacian(g)
-    M = build_input_matrix(g.leaders, g.n, g.d)
-    Lt, _ = dual_pair(L, M)
-    self_dual = Lt.entries == L.entries
+    nd = g.n * g.d
+    # den * L as sparse integer rows, read from the edges; L^T by a sparse transpose
+    _, out, values = integer_edges(g.n, g.d, g.adjacency)
+    L_int = laplacian_rows(g.n, g.d, out, values)
+    Lt_int = [[] for _ in range(nd)]
+    for r, row in enumerate(L_int):
+        for c, x in row:
+            Lt_int[c].append((r, x))
+    self_dual = [sorted(row) for row in L_int] == Lt_int
+    M_int = [[int(x) for x in row] for row in build_input_matrix(g.leaders, g.n, g.d).entries]
     # the observability matrix of (L, M) is the transpose of the Krylov matrix of (L^T, M)
-    Lt_int, M_int, _, _ = integer_pair(Lt, M)
     dim = controllable_dim(Lt_int, M_int, support_bound(Lt_int, M_int), cfg.backend)
     rev = reversal_check(g)
     if cfg.fmt == "json":
@@ -261,7 +273,7 @@ def cmd_dual(cfg: AnalysisConfig) -> int:
             "self_dual": self_dual,
             "observability_rank": dim,
             "dual_controllable_dim": dim,
-            "state_dim": L.nrows,
+            "state_dim": nd,
             "reversal": {
                 "holds": rev.holds,
                 "mismatches": [
@@ -273,7 +285,7 @@ def cmd_dual(cfg: AnalysisConfig) -> int:
         }))
     else:
         print("self-dual (L = L^T): " + ("yes" if self_dual else "no"))
-        print(f"observability rank of (L, M): {dim} of {L.nrows}")
+        print(f"observability rank of (L, M): {dim} of {nd}")
         print(f"controllable dimension of the dual pair (L^T, M): {dim}")
         print(f"edge reversal realizes L^T: {rev.holds}")
         for (i, j, a, b) in rev.mismatches:

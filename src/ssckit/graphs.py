@@ -12,6 +12,7 @@ It is the object "for any choice of weight" quantifies over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -236,17 +237,55 @@ def cell_degree(g: MatrixWeightedGraph, i: int, cell: Iterable[int], direction: 
     return cell_sums(g, [members], direction).get(i, {}).get(0, block_zeros(g.d))
 
 
-def laplacian_of(n: int, d: int, adjacency: Mapping[Edge, Block]) -> BlockMatrix:
-    """L = D - A over n block rows from 1-based ``{(i, j): block}``; block rows sum to zero."""
-    rows = [[Fraction(0)] * (n * d) for _ in range(n * d)]
-    # one pass over the edges: each block adds into its tail's degree block
+def integer_edges(n: int, d: int, adjacency: Mapping[Edge, Block]):
+    """``(den, out, values)``: the edge blocks of 1-based ``{(i, j): block}`` as integers.
+
+    ``values`` holds every block entry scaled by ``den``, the lcm of their
+    denominators; ``out[r]`` lists ``(t, cols)`` per edge (r, t), with
+    A_rt[p][q] at ``values[cols[p*d + q]]``, the form ``laplacian_rows`` reads.
+    """
+    den = math.lcm(*(x.denominator for blk in adjacency.values() for row in blk for x in row))
+    out: dict[int, list] = {v: [] for v in range(1, n + 1)}
+    values: list[int] = []
     for (i, j), blk in adjacency.items():
-        bi, bj = (i - 1) * d, (j - 1) * d
+        base = len(values)
+        values.extend(x.numerator * (den // x.denominator) for row in blk for x in row)
+        out[i].append((j, range(base, base + d * d)))
+    return den, out, values
+
+
+def laplacian_rows(n: int, d: int, out, values) -> list[list[tuple[int, int]]]:
+    """L = D - A as sparse integer rows, over the edges ``out`` and entries ``values``.
+
+    ``out[r]`` lists ``(t, cols)`` per edge (r, t), with A_rt[p][q] at
+    ``values[cols[p*d + q]]``. Row ``(r-1)*d + p`` holds ``[(column, int), ...]``:
+    the degree block of node r (the sum of its edge blocks) on the diagonal
+    and ``-A_rt`` at each neighbour t, so every block row sums to zero. This is
+    the one place the sign and degree convention of the Laplacian is written.
+    """
+    rows = []
+    for r in range(1, n + 1):
+        base = (r - 1) * d
         for p in range(d):
-            row = rows[bi + p]
-            for q in range(d):
-                row[bi + q] += blk[p][q]
-                row[bj + q] = -blk[p][q]
+            row: dict[int, int] = {}
+            for t, cols in out[r]:
+                off = (t - 1) * d
+                for q in range(d):
+                    x = values[cols[p * d + q]]
+                    if x:
+                        row[base + q] = row.get(base + q, 0) + x
+                        row[off + q] = -x
+            rows.append([(c, x) for c, x in row.items() if x])
+    return rows
+
+
+def laplacian_of(n: int, d: int, adjacency: Mapping[Edge, Block]) -> BlockMatrix:
+    """``laplacian_rows`` of 1-based ``{(i, j): block}`` as a dense Fraction matrix."""
+    den, out, values = integer_edges(n, d, adjacency)
+    rows = [[Fraction(0)] * (n * d) for _ in range(n * d)]
+    for row, sparse in zip(rows, laplacian_rows(n, d, out, values)):
+        for c, x in sparse:
+            row[c] = Fraction(x, den)
     return BlockMatrix(n, n, d, tuple(tuple(row) for row in rows))
 
 

@@ -25,10 +25,11 @@ stopping at u too. Its "float" backend is the modular rank alone, unchecked.
 
 The observability matrix of (L, M) is the transpose of the Krylov matrix of
 (L^T, M), so its rank is the dimension of the dual pair's span: the CLI reads
-it as ``controllable_dim`` of ``integer_pair(L^T, M)``, with ``support_bound``
-(at most nd: the coordinates the inputs reach) as the certified upper bound.
-``observability_matrix`` is the definition, kept for library callers and
-tests.
+it as ``controllable_dim`` of L^T's integer rows (``graphs.laplacian_rows``
+read from the edges, transposed sparsely), with ``support_bound`` (at most
+nd: the coordinates the inputs reach) as the certified upper bound.
+``observability_matrix`` is the definition, kept public for library callers
+and tests.
 """
 
 from __future__ import annotations
@@ -241,30 +242,3 @@ def dual_pair(L: BlockMatrix, M: BlockMatrix) -> tuple[BlockMatrix, BlockMatrix]
     """(L^T, M): controllability of this pair is observability of (L, M)."""
     _check_pair(L, M)
     return L.transpose(), M
-
-
-def shifted(L: BlockMatrix, alpha: Fraction) -> BlockMatrix:
-    """L + alpha I; shares the controllable subspace of L for every alpha."""
-    ent = tuple(
-        tuple(x + alpha if r == c else x for c, x in enumerate(row))
-        for r, row in enumerate(L.entries)
-    )
-    return BlockMatrix(L.block_rows, L.block_cols, L.d, ent)
-
-
-def negated(L: BlockMatrix) -> BlockMatrix:
-    ent = tuple(tuple(-x for x in row) for row in L.entries)
-    return BlockMatrix(L.block_rows, L.block_cols, L.d, ent)
-
-
-def spans_equal(basis_a, basis_b) -> bool:
-    """Mutual-containment test by exact ranks of stacked bases (row-major inputs)."""
-    a = [list(r) for r in basis_a]
-    b = [list(r) for r in basis_b]
-    if not a and not b:
-        return True
-    ra = linalg.rank(a)
-    rb = linalg.rank(b)
-    if ra != rb:
-        return False
-    return linalg.rank(linalg.hstack(a, b)) == ra

@@ -70,16 +70,6 @@ def mat_mul(a, b) -> Matrix:
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def hstack(*mats) -> Matrix:
-    mats = [m for m in mats if m]
-    if not mats:
-        return []
-    nrows = len(mats[0])
-    if any(len(m) != nrows for m in mats):
-        raise ValueError("hstack: row counts differ")
-    return [sum((list(m[i]) for m in mats), []) for i in range(nrows)]
-
-
 def integer_row(vec) -> SparseRow:
     """A rational vector as ``{column: int}``, scaled by the lcm of its denominators."""
     den = math.lcm(*(x.denominator for x in vec))
@@ -128,10 +118,13 @@ def independent_mod_p(vectors, piv: dict[int, list[int]], limit: int) -> list[in
     """Indices of the vectors independent over GF(``MODULUS``) of the ones before them.
 
     Each vector is a dense list of residues in ``[0, MODULUS)``. ``piv`` maps a
-    lead column to a monic row (1 at the lead, 0 left of it), stored from its
-    lead on; it carries the vectors kept by earlier calls and is extended in
-    place. Scanning stops once ``piv`` holds ``limit`` rows. The modular twin
-    of ``_independent``: a set independent mod p is independent over the
+    lead column, a row's *last* nonzero coordinate, to a monic row (1 at the
+    lead, 0 right of it), stored up to its lead; it carries the vectors kept
+    by earlier calls and is extended in place. A vector is reduced only while
+    its lead is a pivot, so a Krylov column that reaches one coordinate
+    further than the columns before it is kept without touching them.
+    Scanning stops once ``piv`` holds ``limit`` rows. The modular twin of
+    ``_independent``: a set independent mod p is independent over the
     rationals, so the count is a lower bound on the rational rank.
     """
     p = MODULUS
@@ -140,17 +133,20 @@ def independent_mod_p(vectors, piv: dict[int, list[int]], limit: int) -> list[in
         if len(piv) >= limit:
             break
         v = list(vec)
-        for lead in sorted(piv):
+        lead = len(v) - 1
+        while lead >= 0:
             f = v[lead] % p
-            if f:
-                # entries stay congruent mod p; one reduction at the end suffices
-                v[lead:] = [a - f * b for a, b in zip(v[lead:], piv[lead])]
-        v = [x % p for x in v]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
-            inv = pow(v[lead], -1, p)
-            piv[lead] = [y * inv % p for y in v[lead:]]
-            keep.append(j)
+            if not f:
+                lead -= 1
+            elif lead in piv:
+                # entries stay congruent mod p; they are reduced when read
+                v[:lead + 1] = [a - f * b for a, b in zip(v, piv[lead])]
+                lead -= 1
+            else:
+                inv = pow(f, -1, p)
+                piv[lead] = [x * inv % p for x in v[:lead + 1]]
+                keep.append(j)
+                break
     return keep
 
 

@@ -26,8 +26,9 @@ from .graphs import (
     FixedConstraint,
     MatrixWeightedGraph,
     WeightPattern,
-    block_transpose,
     build_input_matrix,
+    integer_edges,
+    laplacian_rows,
 )
 from .krylov import controllable_dim
 from .krylov import controllable_subspace  # noqa: F401  (kept importable from this module)
@@ -435,31 +436,6 @@ def _graph(pattern: WeightPattern, den: int, vec) -> MatrixWeightedGraph:
     })
 
 
-def _laplacian_rows(prepared: _PatternRows, pattern: WeightPattern, vec) -> list[list[tuple[int, int]]]:
-    """``den * L`` of a drawn unknown vector (scaled by den), as sparse int rows.
-
-    Row ``(r-1)*d + p`` holds ``[(column, int), ...]``: the degree block of
-    node r on the diagonal and ``-A_rt`` at each neighbour t, read through
-    ``prepared.out`` (which already applies direction and the transpose
-    convention), so it equals ``den * build_laplacian(sample)`` entry for entry.
-    """
-    d = pattern.d
-    rows = []
-    for r in range(1, pattern.n + 1):
-        base = (r - 1) * d
-        for p in range(d):
-            row: dict[int, int] = {}
-            for t, cols in prepared.out[r]:
-                off = (t - 1) * d
-                for q in range(d):
-                    x = vec[cols[p * d + q]]
-                    if x:
-                        row[base + q] = row.get(base + q, 0) + x
-                        row[off + q] = -x
-            rows.append([(c, x) for c, x in row.items() if x])
-    return rows
-
-
 def _derive_seed(master, key: str, index: int) -> int:
     digest = hashlib.sha256(f"{master}:{key}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -556,9 +532,10 @@ def estimate_ssc_dimension(
     bound d*k_min next to the sampled minimum, never conflating the two.
 
     Each draw stays in integers: its unknowns go straight into the sparse
-    rows of ``den * L`` (``_laplacian_rows``), and ``krylov.controllable_dim``
-    reads the dimension with the system's own upper bound as certificate:
-    d*k for a k-cell system (its draws satisfy every EP equation and keep
+    rows of ``den * L`` (``graphs.laplacian_rows`` over ``_PatternRows.out``,
+    which already applies direction and the transpose convention), and
+    ``krylov.controllable_dim`` reads the dimension with the system's own
+    upper bound as certificate: d*k for a k-cell system (its draws satisfy every EP equation and keep
     the leaders as singletons, so im(P) is L-invariant and contains im(M))
     and n*d for the unconstrained one. Each sampled dimension equals
     ``controllable_subspace(build_laplacian(g), M).dim`` for
@@ -592,7 +569,7 @@ def estimate_ssc_dimension(
                 values = [Fraction(x, form[0]) for x in vec]
                 witness_weights = tuple((e, _block_of(pattern, values, idx))
                                         for idx, e in enumerate(pattern.edges))
-            L_int = _laplacian_rows(prepared, pattern, vec)
+            L_int = laplacian_rows(pattern.n, pattern.d, prepared.out, vec)
             samples.append((sseed, controllable_dim(L_int, inputs, upper, backend)))
         results.append(SystemSamples(system.partition, system.k, tuple(samples)))
 
@@ -632,7 +609,6 @@ def estimate_ssc_dimension(
 @dataclass(frozen=True)
 class ReversalReport:
     holds: bool
-    reversed_graph: MatrixWeightedGraph
     mismatches: tuple[tuple[int, int, Block, Block], ...]  # (block row, block col, L_rev, L^T)
 
 
@@ -647,36 +623,29 @@ def reversal_check(g: MatrixWeightedGraph) -> ReversalReport:
     L^T has -A_ji^T there and the transposed out-sum of i. So a block can
     differ only on the diagonal or at an edge whose block is not symmetric.
     """
-    reversed_adj = {(j, i): blk for (i, j), blk in g.adjacency.items()}
-    reversed_graph = MatrixWeightedGraph(
-        g.n, g.d, g.directed, reversed_adj, g.leaders, g.symmetry
-    )
     d = g.d
     # per node: its in-sum and its transposed out-sum, entry p*d+q, as
     # integers over the common denominator of the weights
-    den = math.lcm(*(x.denominator for blk in g.adjacency.values() for row in blk for x in row))
+    den, out, values = integer_edges(g.n, d, g.adjacency)
     in_sum = {v: [0] * (d * d) for v in range(1, g.n + 1)}
     out_t = {v: [0] * (d * d) for v in range(1, g.n + 1)}
     mismatches = []
-    for (j, i), blk in g.adjacency.items():
-        acc_in, acc_out = in_sum[i], out_t[j]
-        for p, row in enumerate(blk):
-            for q, x in enumerate(row):
-                x = x.numerator * (den // x.denominator)
-                acc_in[p * d + q] += x
-                acc_out[q * d + p] += x
-        t = block_transpose(blk)
-        if t != blk:
-            mismatches.append((i, j, _negated(blk), _negated(t)))
+    for j in range(1, g.n + 1):
+        for i, cols in out[j]:
+            blk = [values[c] for c in cols]  # A_ji, row-major
+            t = [blk[q * d + p] for p in range(d) for q in range(d)]
+            acc_in, acc_out = in_sum[i], out_t[j]
+            for k in range(d * d):
+                acc_in[k] += blk[k]
+                acc_out[k] += t[k]
+            if t != blk:
+                mismatches.append((i, j, _block([-x for x in blk], den, d),
+                                   _block([-x for x in t], den, d)))
     for v in range(1, g.n + 1):
         if in_sum[v] != out_t[v]:
             mismatches.append((v, v, _block(in_sum[v], den, d), _block(out_t[v], den, d)))
     mismatches.sort(key=lambda m: m[:2])
-    return ReversalReport(not mismatches, reversed_graph, tuple(mismatches))
-
-
-def _negated(blk: Block) -> Block:
-    return tuple(tuple(-x for x in row) for row in blk)
+    return ReversalReport(not mismatches, tuple(mismatches))
 
 
 def _block(flat, den: int, d: int) -> Block:

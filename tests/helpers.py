@@ -18,6 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.utilities.iterables import multiset_partitions
 
 from ssckit.graphs import (
+    BlockMatrix,
     EqualConstraint,
     FixedConstraint,
     MatrixWeightedGraph,
@@ -142,6 +143,22 @@ def random_ep_lift(rng: random.Random, max_cells=4, max_cell_size=3, d_choices=(
     return g, Partition(tuple(cells)), qweights
 
 
+def reference_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
+    """L = D - A by its definition, over every ordered node pair, in Fraction arithmetic."""
+    n, d = g.n, g.d
+    rows = [[Fraction(0)] * (n * d) for _ in range(n * d)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            blk = g.adjacency.get((i, j))
+            if blk is None:
+                continue
+            for p in range(d):
+                for q in range(d):
+                    rows[(i - 1) * d + p][(i - 1) * d + q] += blk[p][q]
+                    rows[(i - 1) * d + p][(j - 1) * d + q] -= blk[p][q]
+    return BlockMatrix(n, n, d, tuple(tuple(row) for row in rows))
+
+
 def materialized_ctrb(L, M, powers=None):
     """Rows of [M  L M  ...  L^{p-1} M], built by a direct power loop."""
     nd = L.nrows
@@ -179,7 +196,7 @@ def reference_reversal_check(g: MatrixWeightedGraph) -> ReversalReport:
             b = L_t.block(bi, bj)
             if a != b:
                 mismatches.append((bi + 1, bj + 1, a, b))
-    return ReversalReport(not mismatches, reversed_graph, tuple(mismatches))
+    return ReversalReport(not mismatches, tuple(mismatches))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +351,69 @@ def sympy_domain_rank(rows) -> int:
 def sympy_pivots(rows) -> tuple[int, ...]:
     """Pivot columns of sympy's reduced row echelon form."""
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rref()[1]
+
+
+def hstack(*mats):
+    """Side-by-side concatenation of dense matrices with equal row counts."""
+    mats = [m for m in mats if m]
+    if not mats:
+        return []
+    nrows = len(mats[0])
+    if any(len(m) != nrows for m in mats):
+        raise ValueError("hstack: row counts differ")
+    return [sum((list(m[i]) for m in mats), []) for i in range(nrows)]
+
+
+def shifted(L: BlockMatrix, alpha: Fraction) -> BlockMatrix:
+    """L + alpha I; shares the controllable subspace of L for every alpha."""
+    ent = tuple(
+        tuple(x + alpha if r == c else x for c, x in enumerate(row))
+        for r, row in enumerate(L.entries)
+    )
+    return BlockMatrix(L.block_rows, L.block_cols, L.d, ent)
+
+
+def negated(L: BlockMatrix) -> BlockMatrix:
+    ent = tuple(tuple(-x for x in row) for row in L.entries)
+    return BlockMatrix(L.block_rows, L.block_cols, L.d, ent)
+
+
+def spans_equal(basis_a, basis_b) -> bool:
+    """Mutual containment of two column spans (row-major bases), by sympy ranks."""
+    a = [list(r) for r in basis_a]
+    b = [list(r) for r in basis_b]
+    if not a and not b:
+        return True
+    ra = sympy_domain_rank(a)
+    if ra != sympy_domain_rank(b):
+        return False
+    return sympy_domain_rank(hstack(a, b)) == ra
+
+
+def first_nonzero_independent_mod_p(vectors, piv, limit, p):
+    """``linalg.independent_mod_p`` with each row's lead at its *first* nonzero coordinate.
+
+    The rule the library used before it pivoted on the last nonzero: each
+    vector is reduced against every pivot row left to right (rows stored
+    from their lead on), and kept iff something nonzero is left. Which
+    vectors are kept does not depend on the pivot rule.
+    """
+    keep = []
+    for j, vec in enumerate(vectors):
+        if len(piv) >= limit:
+            break
+        v = list(vec)
+        for lead in sorted(piv):
+            f = v[lead] % p
+            if f:
+                v[lead:] = [(a - f * b) % p for a, b in zip(v[lead:], piv[lead])]
+        v = [x % p for x in v]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            piv[lead] = [y * inv % p for y in v[lead:]]
+            keep.append(j)
+    return keep
 
 
 def refines(p: Partition, q: Partition) -> bool:

@@ -14,10 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import (
+    hstack,
     materialized_ctrb,
+    negated,
     oracle_feasible_partitions,
     random_ep_lift,
     random_graph,
+    shifted,
+    spans_equal,
     sympy_rank,
 )
 from ssckit import linalg
@@ -28,13 +32,7 @@ from ssckit.graphs import (
     build_input_matrix,
     build_laplacian,
 )
-from ssckit.krylov import (
-    controllable_subspace,
-    dual_pair,
-    negated,
-    shifted,
-    spans_equal,
-)
+from ssckit.krylov import controllable_subspace, dual_pair
 from ssckit.partitions import (
     Partition,
     characteristic_matrix,
@@ -141,7 +139,7 @@ def test_criterion_3_lift_identity_suite():
             problems.append(f"trial {trial}: L P != P Lq")
             break
         p_rows = P.to_lists()
-        if linalg.rank(linalg.hstack(p_rows, LP.to_lists())) != linalg.rank(p_rows):
+        if linalg.rank(hstack(p_rows, LP.to_lists())) != linalg.rank(p_rows):
             problems.append(f"trial {trial}: im(P) is not L-invariant")
             break
     finish(3, "lift identity on 200 constructed EPs", problems, started, 30.0)
@@ -163,7 +161,7 @@ def test_criterion_4_subspace_containment(diamond_pattern, star4_pattern, k3_pat
             problems.append(f"sample {i} does not satisfy its EP")
             break
         basis = [list(r) for r in controllable_subspace(*pair_for(g)).basis]
-        if linalg.rank(linalg.hstack(p_rows, basis)) != p_rank:
+        if linalg.rank(hstack(p_rows, basis)) != p_rank:
             problems.append(f"sample {i}: Krylov basis escapes im(P)")
             break
         count += 1

@@ -281,6 +281,36 @@ def test_long_path_refines_in_seconds(tmp_path, capsys, command, key):
     assert json.loads(out)[key] == [[v] for v in range(1, n + 1)]
 
 
+def _scalar_edges(pairs):
+    return [{"i": i, "j": j, "weight": [[1]]} for i, j in pairs]
+
+
+LARGEST_DUALS = {
+    # name: (document at n*d = 1000, observability rank, self-dual)
+    "path": ({"edges": _scalar_edges((i, i + 1) for i in range(1, 1000))}, 1000, True),
+    "star": ({"edges": _scalar_edges((1, j) for j in range(2, 1001))}, 2, True),
+    "k2_998": ({"edges": _scalar_edges((i, j) for i in (1, 2) for j in range(3, 1001))}, 3, True),
+    "directed_path": ({"directed": True,
+                       "edges": _scalar_edges((i, i + 1) for i in range(1, 1000))}, 1000, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGEST_DUALS))
+def test_dual_at_the_largest_admitted_size_in_seconds(tmp_path, capsys, name):
+    # n = 1000, d = 1, led from node 1 (an end, the hub, or a node of the pair side)
+    doc, rank, self_dual = LARGEST_DUALS[name]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": 1000, "d": 1, "leaders": [1], **doc}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "dual", "--input", str(path), "--format", "json")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    result = json.loads(out)
+    assert result["observability_rank"] == result["dual_controllable_dim"] == rank
+    assert result["state_dim"] == 1000
+    assert result["self_dual"] is self_dual and result["reversal"]["holds"] is self_dual
+
+
 @pytest.mark.parametrize("command", ["laplacian", "bound", "dual"])
 def test_state_dimension_limit_exit3(tmp_path, capsys, command):
     # refused on n*d alone, before any n-sized object is built
@@ -400,6 +430,7 @@ def test_dual_observability_rank_matches_definition(capsys, tmp_path, g):
     M = build_input_matrix(g.leaders, g.n, g.d)
     doc = _dual_json(capsys, tmp_path, g)
     assert doc["observability_rank"] == sympy_rank(observability_matrix(L, M))
+    assert doc["self_dual"] == (L.transpose().entries == L.entries)
     assert doc["dual_controllable_dim"] == doc["observability_rank"]
     assert doc["state_dim"] == g.n * g.d
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_graph
+from helpers import rand_block, random_graph, reference_laplacian
 from ssckit import linalg
 from ssckit.graphs import (
     BlockMatrix,
@@ -17,6 +17,8 @@ from ssckit.graphs import (
     cell_degree,
     cell_sums,
     degree,
+    integer_edges,
+    laplacian_rows,
 )
 
 
@@ -98,6 +100,28 @@ def test_laplacian_block_rows_sum_to_zero_random():
         for p in range(L.nrows):
             for q in range(g.d):
                 assert sum(L.entries[p][c * g.d + q] for c in range(g.n)) == 0
+
+
+def test_laplacian_is_read_from_the_integer_edges():
+    # the sparse integer rows over den and their Fraction view both equal D - A
+    rng = random.Random(31)
+    for trial in range(45):
+        n, d = rng.randint(1, 7), rng.choice([1, 2, 3])
+        if trial % 3 == 2:
+            edges = {(i, j): rand_block(rng, d, max_den=6)
+                     for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5}
+            g = MatrixWeightedGraph.create(n, d, edges, [1], symmetry="transpose")
+        else:
+            g = random_graph(rng, n, d, directed=trial % 3 == 1, max_den=6)
+        L = build_laplacian(g)
+        assert L == reference_laplacian(g)
+        den, out, values = integer_edges(g.n, g.d, g.adjacency)
+        rows = laplacian_rows(g.n, g.d, out, values)
+        assert len(rows) == L.nrows
+        for row, expect in zip(rows, L.entries):
+            assert all(x != 0 for _, x in row)
+            dense = dict(row)
+            assert [Fraction(dense.get(c, 0), den) for c in range(L.ncols)] == list(expect)
 
 
 def test_undirected_scalar_laplacian_symmetric():

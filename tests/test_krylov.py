@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    hstack,
     materialized_ctrb,
+    negated,
     random_ep_lift,
     random_graph,
+    shifted,
+    spans_equal,
     sympy_domain_rank,
     sympy_pivots,
     sympy_rank,
@@ -27,10 +31,7 @@ from ssckit.krylov import (
     dual_pair,
     integer_pair,
     is_controllable,
-    negated,
     observability_matrix,
-    shifted,
-    spans_equal,
     support_bound,
 )
 
@@ -89,8 +90,8 @@ def test_basis_is_invariant_and_contains_inputs():
         basis = [list(r) for r in cs.basis]
         assert linalg.rank(basis) == cs.dim
         lb = linalg.mat_mul(L.to_lists(), basis)
-        assert linalg.rank(linalg.hstack(basis, lb)) == cs.dim
-        assert linalg.rank(linalg.hstack(basis, M.to_lists())) == cs.dim
+        assert linalg.rank(hstack(basis, lb)) == cs.dim
+        assert linalg.rank(hstack(basis, M.to_lists())) == cs.dim
 
 
 def test_basis_is_first_independent_columns_of_ctrb():

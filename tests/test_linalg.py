@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rref, solve_affine, sympy_rank
+from helpers import first_nonzero_independent_mod_p, hstack, rref, solve_affine, sympy_rank
 from ssckit import linalg
 
 
@@ -163,10 +163,10 @@ def test_solve_affine_empty_system():
 def test_hstack_and_transpose():
     a = [[Fraction(1), Fraction(2)]]
     b = [[Fraction(3)]]
-    assert linalg.hstack(a, b) == [[Fraction(1), Fraction(2), Fraction(3)]]
+    assert hstack(a, b) == [[Fraction(1), Fraction(2), Fraction(3)]]
     assert linalg.transpose(a) == [[Fraction(1)], [Fraction(2)]]
     with pytest.raises(ValueError):
-        linalg.hstack(a, [[Fraction(1)], [Fraction(2)]])
+        hstack(a, [[Fraction(1)], [Fraction(2)]])
 
 
 @given(st.lists(st.lists(fractions_st, min_size=3, max_size=3), min_size=1, max_size=5))
@@ -185,3 +185,48 @@ def test_rank_product_bound(a_rows, b_rows):
     a = [[Fraction(x) for x in r] for r in a_rows]
     b = [[Fraction(x) for x in r] for r in b_rows]
     assert linalg.rank(linalg.mat_mul(a, b)) <= min(linalg.rank(a), linalg.rank(b))
+
+
+@st.composite
+def residue_vectors(draw):
+    # dense residue vectors, either random or banded like Krylov columns that
+    # fill in from the inputs outward; repeats and combinations make them dependent
+    p = linalg.MODULUS
+    nd = draw(st.integers(min_value=1, max_value=64))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    small = draw(st.booleans())  # few distinct values, so cancellation is common
+    value = (lambda: rng.randint(-2, 2) % p) if small else (lambda: rng.randrange(p))
+    vectors = []
+    for j in range(draw(st.integers(min_value=1, max_value=nd + 8))):
+        kind = rng.random()
+        if kind < 0.3 and vectors:
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            f = rng.randrange(p)
+            vectors.append([(x + f * y) % p for x, y in zip(a, b)])
+        elif draw(st.booleans()):
+            start = rng.randrange(nd)
+            width = rng.randint(1, nd - start)
+            vectors.append([value() if start <= c < start + width else 0 for c in range(nd)])
+        else:
+            vectors.append([value() if rng.random() < 0.5 else 0 for _ in range(nd)])
+    return nd, vectors
+
+
+@given(residue_vectors(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_independent_mod_p_keeps_what_the_first_nonzero_rule_keeps(case, data):
+    # last-nonzero pivots keep the same vectors as the first-nonzero reference,
+    # also with the pivot map carried across two calls and a limit
+    nd, vectors = case
+    p = linalg.MODULUS
+    limit = data.draw(st.integers(min_value=1, max_value=nd))
+    split = data.draw(st.integers(min_value=0, max_value=len(vectors)))
+    kept, ref = [], []
+    piv, ref_piv = {}, {}
+    for lo, hi in ((0, split), (split, len(vectors))):
+        kept += [lo + j for j in linalg.independent_mod_p(vectors[lo:hi], piv, limit)]
+        ref += [lo + j for j in first_nonzero_independent_mod_p(vectors[lo:hi], ref_piv, limit, p)]
+    assert kept == ref
+    assert len(piv) == len(ref_piv) == len(kept) <= limit
+    for lead, row in piv.items():
+        assert len(row) == lead + 1 and row[lead] == 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     fraction_sample_weights,
+    hstack,
     oracle_feasible_partitions,
     rand_block,
     random_graph,
@@ -26,6 +27,7 @@ from ssckit.graphs import (
     block_transpose,
     build_input_matrix,
     build_laplacian,
+    laplacian_rows,
 )
 from ssckit.krylov import controllable_subspace
 from ssckit.partitions import Partition, characteristic_matrix, verify_equitable
@@ -390,7 +392,7 @@ def test_report_subspace_containment(diamond_pattern, star4_pattern, k3_pattern)
                 cs = controllable_subspace(
                     build_laplacian(g), build_input_matrix(g.leaders, g.n, g.d)
                 )
-                stacked = linalg.hstack(p_rows, [list(r) for r in cs.basis])
+                stacked = hstack(p_rows, [list(r) for r in cs.basis])
                 assert linalg.rank(stacked) == p_rank
 
 
@@ -437,7 +439,8 @@ def test_laplacian_rows_match_build_laplacian(kind, d):
         form = ssc._integer_form(system)
         den = form[0]
         for seed in range(3):
-            rows = ssc._laplacian_rows(prepared, pattern, ssc._draw(system, form, seed))
+            vec = ssc._draw(system, form, seed)
+            rows = laplacian_rows(pattern.n, pattern.d, prepared.out, vec)
             L = build_laplacian(sample_weights(system, seed))
             assert len(rows) == L.nrows
             for row, expect in zip(rows, L.entries):
@@ -520,7 +523,6 @@ def test_reversal_weight_balanced_cycle():
 def test_reversal_undirected_scalar(diamond):
     result = reversal_check(diamond)
     assert result.holds
-    assert result.reversed_graph == diamond
 
 
 def test_reversal_undirected_asymmetric_blocks():
@@ -530,7 +532,6 @@ def test_reversal_undirected_asymmetric_blocks():
     # reversal is the identity on the graph, but L != L^T for asymmetric blocks
     result = reversal_check(g)
     assert not result.holds
-    assert result.reversed_graph == g
 
 
 def _weight_balanced(rng, n, d, symmetric):
