@@ -264,9 +264,10 @@ def cmd_dual(cfg: AnalysisConfig) -> int:
         for c, x in row:
             Lt_int[c].append((r, x))
     self_dual = [sorted(row) for row in L_int] == Lt_int
-    M_int = [[int(x) for x in row] for row in build_input_matrix(g.leaders, g.n, g.d).entries]
+    M = build_input_matrix(g.leaders, g.n, g.d)
+    M_cols = [[int(x) for x in col] for col in zip(*M.entries)]
     # the observability matrix of (L, M) is the transpose of the Krylov matrix of (L^T, M)
-    dim = controllable_dim(Lt_int, M_int, support_bound(Lt_int, M_int), cfg.backend)
+    dim = controllable_dim(Lt_int, M_cols, support_bound(Lt_int, M_cols), cfg.backend)
     rev = reversal_check(g)
     if cfg.fmt == "json":
         sys.stdout.write(dumps({

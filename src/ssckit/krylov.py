@@ -1,21 +1,15 @@
 """Controllable subspace of a pair (L, M) and the controllability/observability dual.
 
-The subspace im(M) + L im(M) + L^2 im(M) + ... is built in one pass over the
-Krylov columns (``_exact_rounds``): each round's columns go once through
-``linalg.independent_columns``, which tests them against an echelon pivot map
-carried across rounds, and the iteration stops after the first round that adds
-no pivot (the span is then L-invariant, so later powers add nothing). The
-columns are carried as integers, ``D^k L^k M`` for D the lcm of L's
-denominators (``integer_pair`` clears them), and ``controllable_subspace``
-divides them back into Fractions only when kept.
-
-``_modular_rounds`` runs the same rounds over GF(``MODULUS``) and multiplies
-only the columns a round keeps: a column whose predecessor was dependent on
-the columns before it is itself dependent on theirs, so the kept set is still
-the lexicographically-first one. Independence mod p implies independence
-over Q, so its count is a lower bound on the dimension. The "float" backend
-of ``controllable_subspace`` keeps the columns independent mod p; it is
-uncertified.
+The subspace im(M) + L im(M) + L^2 im(M) + ... is built by one loop,
+``_rounds``, over the integer Krylov columns ``D^k L^k M`` (D the lcm of L's
+denominators; ``integer_pair`` clears them). It tests each column once,
+exactly (``linalg.independent_vectors``) or over GF(``MODULUS``)
+(``linalg.independent_mod_p``), multiplies only the columns it keeps, and
+stops after a round that keeps nothing (the span is then L-invariant, so
+later powers add nothing). Independence mod p implies independence over Q,
+so the modular count is a lower bound on the dimension; the "float" backend
+keeps the columns independent mod p and is uncertified.
+``controllable_subspace`` divides the kept columns back into Fractions.
 
 ``controllable_dim`` reads only the dimension of an integer pair and takes a
 certified upper bound u on it (nd always; d*k for a draw from a k-cell
@@ -60,7 +54,7 @@ def _check_pair(L: BlockMatrix, M: BlockMatrix):
 
 
 def integer_pair(L: BlockMatrix, M: BlockMatrix):
-    """``(L_int, M_int, D, E)``: ``D L`` as sparse int rows and ``E M`` as dense int rows.
+    """``(L_int, M_cols, D, E)``: ``D L`` as sparse int rows and ``E M`` as dense int columns.
 
     ``D`` and ``E`` are the lcms of the denominators of L and of M; a sparse
     row is ``[(column, int), ...]`` over its nonzero entries. Positive scales
@@ -70,71 +64,43 @@ def integer_pair(L: BlockMatrix, M: BlockMatrix):
     D = math.lcm(*(x.denominator for row in L_sparse for _, x in row))
     L_int = [[(c, x.numerator * (D // x.denominator)) for c, x in row] for row in L_sparse]
     E = math.lcm(*(x.denominator for row in M.entries for x in row))
-    M_int = [[x.numerator * (E // x.denominator) for x in row] for row in M.entries]
-    return L_int, M_int, D, E
+    M_cols = [[x.numerator * (E // x.denominator) for x in col] for col in zip(*M.entries)]
+    return L_int, M_cols, D, E
 
 
-def _times(L_int, block):
-    # L_int (sparse int rows) times the dense int matrix block
-    return [[sum(x * block[c][j] for c, x in row) for j in range(len(block[0]))] for row in L_int]
+def _rounds(L_int, cols, limit: int, independent, modulus: int | None = None):
+    """The Krylov loop: yields, per round, the integer columns it keeps.
 
-
-def _exact_rounds(L_int, block, limit: int):
-    """The exact Krylov loop: yields ``(block, kept)`` per round, ``block`` times ``L_int``.
-
-    ``L_int`` is a square integer matrix as sparse rows ``[(column, int), ...]``
-    and ``block`` the integer nd x m matrix of the first round. Round k's
-    block is ``L_int^k block``; ``kept`` lists its columns that are
-    independent of every column kept before them (tested exactly by
-    ``linalg.independent_columns``). The loop ends after a round that keeps
-    nothing (the span is then invariant) or once ``limit`` columns are kept;
-    ``limit`` must be at least the span's dimension.
+    ``L_int`` is the nd x nd integer matrix as sparse rows ``[(column, int),
+    ...]`` and ``cols`` the first round's dense integer columns. Each round
+    tests its columns, in order, with ``independent``
+    (``linalg.independent_vectors`` or ``linalg.independent_mod_p``) against
+    the pivots of every column kept before, and the next round is ``L_int``
+    times the columns kept. A dependent column's image lies in the span of
+    the images of the columns before it, which are all tested earlier, so
+    the kept columns are still the first independent columns of
+    ``[M, L M, L^2 M, ...]``. With ``modulus`` the products are reduced mod
+    it. Ends after a round that keeps nothing (the span is then invariant)
+    or once ``limit`` columns are kept; ``limit`` must be at least the
+    span's dimension.
     """
-    pivots: dict[int, linalg.SparseRow] = {}  # echelon map of the kept columns
-    total = 0
+    pivots: dict = {}
     while True:
-        kept = linalg.independent_columns(block, pivots)
-        yield block, kept
-        total += len(kept)
-        if not kept or total >= limit:
+        cols = [cols[j] for j in independent(cols, pivots, limit)]
+        yield cols
+        if not cols or len(pivots) >= limit:
             return
-        block = _times(L_int, block)
+        if modulus is None:
+            cols = [[sum([x * col[c] for c, x in row]) for row in L_int] for col in cols]
+        else:
+            cols = [[sum([x * col[c] for c, x in row]) % modulus for row in L_int] for col in cols]
 
 
-def _modular_rounds(L_int, block, limit: int):
-    """The Krylov loop over GF(MODULUS): yields, per round, the indices of the columns it keeps.
-
-    Round 0 tests the columns of ``block``; each later round tests ``L_int``
-    times the columns the round before kept, in their order, so the indices
-    of a round point into the previous round's kept columns. Only kept
-    columns are multiplied: a dependent column's image lies in the span of
-    the images of the columns before it, which are all tested earlier. Ends
-    after a round that keeps nothing or once ``limit`` columns are kept.
-    """
-    p = MODULUS
-    pivots: dict[int, list[int]] = {}
-    cols = [[x % p for x in col] for col in zip(*block)]
-    while True:
-        keep = linalg.independent_mod_p(cols, pivots, limit)
-        yield keep
-        if not keep or len(pivots) >= limit:
-            return
-        cols = [[sum([x * cols[j][c] for c, x in row]) % p for row in L_int] for j in keep]
-
-
-def _rank_mod_p(L_int, block, limit: int) -> int:
-    """Rank over GF(MODULUS) of the Krylov matrix of an integer pair, stopping at ``limit``.
-
-    Never above the rank over the rationals.
-    """
-    return sum(len(keep) for keep in _modular_rounds(L_int, block, limit))
-
-
-def controllable_dim(L_int, block, upper: int, backend: str = "exact") -> int:
+def controllable_dim(L_int, cols, upper: int, backend: str = "exact") -> int:
     """dim <L|M> of an integer pair, given a certified upper bound ``upper`` on it.
 
     ``L_int`` is the nd x nd integer matrix as sparse rows ``[(column, int),
-    ...]`` and ``block`` the integer nd x m input matrix as dense rows; any
+    ...]`` and ``cols`` the columns of the integer nd x m input matrix; any
     positive scale of either leaves the span unchanged. The rank of the
     Krylov matrix mod ``MODULUS`` is a lower bound on the dimension; when it
     reaches ``upper`` it is the dimension, proven without rational
@@ -145,16 +111,16 @@ def controllable_dim(L_int, block, upper: int, backend: str = "exact") -> int:
     leaders as singletons).
     """
     linalg.check_backend(backend)
-    low = _rank_mod_p(L_int, block, upper)
+    low = sum(map(len, _rounds(L_int, cols, upper, linalg.independent_mod_p, MODULUS)))
     if low >= upper or backend == "float":
         return low
-    return sum(len(kept) for _, kept in _exact_rounds(L_int, block, upper))
+    return sum(map(len, _rounds(L_int, cols, upper, linalg.independent_vectors)))
 
 
-def support_bound(L_int, block) -> int:
+def support_bound(L_int, cols) -> int:
     """A certified upper bound on dim <L|M>: the size of a coordinate subspace holding it.
 
-    The coordinates reached from the nonzero rows of ``block`` by following
+    The coordinates reached from the nonzero entries of ``cols`` by following
     ``L_int`` (coordinate c reaches r when ``L[r][c] != 0``) span a subspace
     that contains im(M) and that L maps into itself, so it holds the whole
     Krylov span. For the dual pair of a graph these are the leaders and the
@@ -164,7 +130,7 @@ def support_bound(L_int, block) -> int:
     for r, row in enumerate(L_int):
         for c, _ in row:
             reaches[c].append(r)
-    seen = {r for r, row in enumerate(block) if any(row)}
+    seen = {r for col in cols for r, x in enumerate(col) if x}
     stack = list(seen)
     while stack:
         for r in reaches[stack.pop()]:
@@ -185,33 +151,23 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
     column, so there are at most nd rounds.
 
     The columns are carried as Python ints: with D the lcm of L's
-    denominators and E that of M's, round k holds the integer matrix
-    E D^k L^k M, computed from ``D L`` as sparse int rows (``integer_pair``)
-    by ``_exact_rounds`` (the loop ``controllable_dim`` falls back to). A
-    positive scale changes no independence, so only a kept column is divided
-    back into Fractions. The float backend keeps the columns independent mod
-    p instead (``_modular_rounds``), multiplying only the kept ones. Callers
-    that read only ``.dim`` of an integer pair with a known upper bound use
-    ``controllable_dim`` instead.
+    denominators and E that of M's, round k holds columns of the integer
+    matrix E D^k L^k M, computed from ``D L`` as sparse int rows
+    (``integer_pair``) by ``_rounds``, the loop ``controllable_dim`` runs too.
+    A positive scale changes no independence, so only a kept column is
+    divided back into Fractions. The float backend tests the same columns
+    mod p instead. Callers that read only ``.dim`` of an integer pair with a
+    known upper bound use ``controllable_dim`` instead.
     """
     _check_pair(L, M)
     linalg.check_backend(backend)
     nd = L.nrows
-    L_int, block, D, scale = integer_pair(L, M)
+    L_int, cols, D, scale = integer_pair(L, M)
+    independent = linalg.independent_vectors if backend == "exact" else linalg.independent_mod_p
     kept: list[list[Fraction]] = []
-    if backend == "exact":
-        for block, cols in _exact_rounds(L_int, block, nd):
-            kept.extend([Fraction(row[j], scale) for row in block] for j in cols)
-            scale *= D
-    else:
-        cols = list(zip(*block))
-        for keep in _modular_rounds(L_int, block, nd):
-            cols = [cols[j] for j in keep]
-            kept.extend([Fraction(x, scale) for x in col] for col in cols)
-            if len(kept) == nd:
-                break
-            cols = [[sum(x * col[c] for c, x in row) for row in L_int] for col in cols]
-            scale *= D
+    for cols in _rounds(L_int, cols, nd, independent):
+        kept.extend([Fraction(x, scale) for x in col] for col in cols)
+        scale *= D
     basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))
     return ControllableSubspace(basis_rows, len(kept))
 

@@ -85,7 +85,7 @@ def rank(m, backend: str = "exact") -> int:
     check_backend(backend)
     width = len(m[0]) if m else 0
     if backend == "exact":
-        return len(_independent(m, {}, width))
+        return len(independent_vectors(m, {}, width))
     p = MODULUS
     residues = ([row.get(c, 0) % p for c in range(width)] for row in map(integer_row, m))
     return len(independent_mod_p(residues, {}, width))
@@ -99,15 +99,19 @@ def independent_columns(m, pivots: dict[int, SparseRow] | None = None) -> list[i
     columns kept by earlier calls on matrices with the same row count, and it
     is extended in place, so a column is also tested against those.
     """
-    return _independent(zip(*m), {} if pivots is None else pivots, len(m))
+    return independent_vectors(zip(*m), {} if pivots is None else pivots, len(m))
 
 
-def _independent(vectors, piv: dict[int, SparseRow], width: int) -> list[int]:
-    # indices of the vectors that add a pivot to piv, in order; once piv has
-    # a pivot in each of the width columns nothing more can be independent
+def independent_vectors(vectors, piv: dict[int, SparseRow], limit: int) -> list[int]:
+    """Indices of the rational or integer vectors independent of the ones before them.
+
+    ``piv`` is an echelon map (lead column -> integer row) of the vectors kept
+    by earlier calls, extended in place. Scanning stops once ``piv`` holds
+    ``limit`` rows; ``limit`` at the vectors' length stops nothing early.
+    """
     keep = []
     for j, vec in enumerate(vectors):
-        if len(piv) == width:
+        if len(piv) >= limit:
             break
         if _add_row(piv, integer_row(vec), reduced=False) is not None:
             keep.append(j)
@@ -117,14 +121,14 @@ def _independent(vectors, piv: dict[int, SparseRow], width: int) -> list[int]:
 def independent_mod_p(vectors, piv: dict[int, list[int]], limit: int) -> list[int]:
     """Indices of the vectors independent over GF(``MODULUS``) of the ones before them.
 
-    Each vector is a dense list of residues in ``[0, MODULUS)``. ``piv`` maps a
+    Each vector is a dense list of integers, read mod ``MODULUS``. ``piv`` maps a
     lead column, a row's *last* nonzero coordinate, to a monic row (1 at the
     lead, 0 right of it), stored up to its lead; it carries the vectors kept
     by earlier calls and is extended in place. A vector is reduced only while
     its lead is a pivot, so a Krylov column that reaches one coordinate
     further than the columns before it is kept without touching them.
     Scanning stops once ``piv`` holds ``limit`` rows. The modular twin of
-    ``_independent``: a set independent mod p is independent over the
+    ``independent_vectors``: a set independent mod p is independent over the
     rationals, so the count is a lower bound on the rational rank.
     """
     p = MODULUS

@@ -23,10 +23,10 @@ from .graphs import (
 )
 from .render import block_to_json
 
-# Largest state dimension n*d a document may declare. `laplacian` and `dual`
-# build dense nd x nd Fraction matrices (`quotient` a kd x kd one; `ep` none, at
-# O(edges + n) per refinement round), so a larger document is refused as a bad
-# argument (exit 3) before anything is built.
+# Largest state dimension n*d a document may declare. `laplacian` builds dense
+# nd x nd Fraction matrices (`quotient` a kd x kd one; `dual` only sparse integer
+# rows; `ep` none, at O(edges + n) per refinement round), so a larger document is
+# refused as a bad argument (exit 3) before anything is built.
 MAX_STATE_DIM = 1024
 
 

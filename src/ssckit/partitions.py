@@ -35,11 +35,6 @@ class NotEquitableError(ValueError):
     pass
 
 
-def _canonical_cells(cells) -> tuple[tuple[int, ...], ...]:
-    canon = tuple(sorted(tuple(sorted(set(int(v) for v in cell))) for cell in cells))
-    return canon
-
-
 @dataclass(frozen=True)
 class Partition:
     """Cells in canonical order (sorted by least member, members ascending)."""
@@ -47,7 +42,8 @@ class Partition:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon = _canonical_cells(self.cells)
+        # repeats are kept, so the check below reports them
+        canon = tuple(sorted(tuple(sorted(int(v) for v in cell)) for cell in self.cells))
         object.__setattr__(self, "cells", canon)
         seen: set[int] = set()
         for cell in canon:
@@ -57,7 +53,8 @@ class Partition:
                 if v < 1:
                     raise InvalidPartitionError(f"node index {v} must be >= 1")
                 if v in seen:
-                    raise InvalidPartitionError(f"node {v} appears in two cells")
+                    where = "twice in one cell" if cell.count(v) > 1 else "in two cells"
+                    raise InvalidPartitionError(f"node {v} appears {where}")
                 seen.add(v)
 
     @property

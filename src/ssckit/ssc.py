@@ -344,14 +344,6 @@ def ssc_upper_bound(
 # sampling
 # ---------------------------------------------------------------------------
 
-def _block_of(pattern, vec, var_idx) -> Block:
-    d = pattern.d
-    base = var_idx * d * d
-    return tuple(
-        tuple(vec[base + p * d + q] for q in range(d)) for p in range(d)
-    )
-
-
 def _entries_ok(entries, sign: str | None) -> bool:
     # one edge's block entries, scaled by a positive denominator: not all zero
     # and within the edge's sign constraint
@@ -429,9 +421,9 @@ def _draw(system: EPConstraintSystem, form, seed) -> list[int]:
 
 def _graph(pattern: WeightPattern, den: int, vec) -> MatrixWeightedGraph:
     # the graph of a drawn unknown vector scaled by den
-    values = [Fraction(x, den) for x in vec]
+    d = pattern.d
     return pattern.materialize({
-        name: _block_of(pattern, values, idx)
+        name: _block(vec[idx * d * d:(idx + 1) * d * d], den, d)
         for idx, name in enumerate(pattern.variable_names)
     })
 
@@ -551,9 +543,9 @@ def estimate_ssc_dimension(
     minsys = systems[0]
     prepared = _pattern_rows(pattern)
     entries = list(systems) + [ep_constraint_system(pattern, None, prepared=prepared)]
-    nd = pattern.n * pattern.d
-    inputs = [[int(x) for x in row]
-              for row in build_input_matrix(pattern.leaders, pattern.n, pattern.d).entries]
+    nd, dd = pattern.n * pattern.d, pattern.d * pattern.d
+    inputs = [[int(x) for x in col]
+              for col in zip(*build_input_matrix(pattern.leaders, pattern.n, pattern.d).entries)]
 
     results = []
     witness_weights = None
@@ -566,9 +558,9 @@ def estimate_ssc_dimension(
             sseed = _derive_seed(seed, key, i)
             vec = _draw(system, form, sseed)
             if system is minsys and witness_weights is None:
-                values = [Fraction(x, form[0]) for x in vec]
-                witness_weights = tuple((e, _block_of(pattern, values, idx))
-                                        for idx, e in enumerate(pattern.edges))
+                witness_weights = tuple(
+                    (e, _block(vec[idx * dd:(idx + 1) * dd], form[0], pattern.d))
+                    for idx, e in enumerate(pattern.edges))
             L_int = laplacian_rows(pattern.n, pattern.d, prepared.out, vec)
             samples.append((sseed, controllable_dim(L_int, inputs, upper, backend)))
         results.append(SystemSamples(system.partition, system.k, tuple(samples)))

@@ -132,6 +132,9 @@ def test_ep_bad_partition_exit3(capsys):
     code, _, err = run(capsys, "ep", "--input", str(FIXTURES / "diamond.json"),
                        "--partition", "[[1.5],[2,3],[4]]")
     assert code == 3
+    code, _, err = run(capsys, "ep", "--input", str(FIXTURES / "diamond.json"),
+                       "--partition", "[[1,1],[2,3],[4]]")
+    assert code == 3 and "node 1" in err
 
 
 def test_ep_reports_violations(tmp_path, capsys):

@@ -25,7 +25,6 @@ from ssckit.graphs import (
 )
 from ssckit.krylov import (
     MODULUS,
-    _rank_mod_p,
     controllable_dim,
     controllable_subspace,
     dual_pair,
@@ -95,17 +94,28 @@ def test_basis_is_invariant_and_contains_inputs():
 
 
 def test_basis_is_first_independent_columns_of_ctrb():
-    # the kept Krylov columns are the pivot columns of the full [M LM ... L^{nd-1}M]
+    # the kept Krylov columns are the pivot columns of the full [M LM ... L^{nd-1}M],
+    # on both backends: only kept columns are multiplied, so deficient spans
+    # (planted equitable partitions, nd up to 40) test that rule hardest
     rng = random.Random(47)
+    cases = []
     for trial in range(24):
         d = 1 + trial % 2
         g = random_graph(rng, rng.randint(2, 12 // d), d=d, directed=trial % 4 >= 2)
-        L, M = pair_for(g)
+        cases.append(pair_for(g))
+    deficient = 0
+    while deficient < 10:
+        L, M = pair_for(random_ep_lift(rng, max_cells=5, max_cell_size=4)[0])
+        if sympy_rank(materialized_ctrb(L, M)) < L.nrows:
+            cases.append((L, M))
+            deficient += 1
+    for L, M in cases:
         full = materialized_ctrb(L, M)
-        cs = controllable_subspace(L, M)
         expected = [[row[c] for row in full] for c in sympy_pivots(full)]
-        assert [list(col) for col in zip(*cs.basis)] == expected
-        assert cs.dim == len(expected)
+        for backend in ("exact", "float"):
+            cs = controllable_subspace(L, M, backend)
+            assert [list(col) for col in zip(*cs.basis)] == expected
+            assert cs.dim == len(expected)
 
 
 def test_rational_blocks_match_materialized_ctrb():
@@ -232,15 +242,15 @@ def test_controllable_dim_matches_exact_and_sympy(pair, data):
     # nd up to 24, beyond the materialized oracles above
     L, M = pair
     nd = L.nrows
-    L_int, M_int, _, _ = integer_pair(L, M)
+    L_int, M_cols, _, _ = integer_pair(L, M)
     exact = controllable_subspace(L, M).dim
     assert exact == sympy_domain_rank(materialized_ctrb(L, M))
-    assert controllable_dim(L_int, M_int, nd) == exact
-    assert _rank_mod_p(L_int, M_int, nd) <= exact
+    assert controllable_dim(L_int, M_cols, nd) == exact
+    assert controllable_dim(L_int, M_cols, nd, backend="float") <= exact
     # any true upper bound: the certified branch at exact, the exact loop above it
     upper = data.draw(st.integers(min_value=exact, max_value=nd))
-    assert controllable_dim(L_int, M_int, upper) == exact
-    assert controllable_dim(L_int, M_int, exact) == exact
+    assert controllable_dim(L_int, M_cols, upper) == exact
+    assert controllable_dim(L_int, M_cols, exact) == exact
 
 
 @st.composite
@@ -265,20 +275,19 @@ def dual_graphs(draw):
 def test_dual_rank_matches_sympy_observability_rank(g):
     # the CLI's reading of the observability rank, against its definition, nd up to 24
     L, M = pair_for(g)
-    Lt_int, M_int, _, _ = integer_pair(L.transpose(), M)
+    Lt_int, M_cols, _, _ = integer_pair(L.transpose(), M)
     rank = sympy_domain_rank(observability_matrix(L, M))
-    upper = support_bound(Lt_int, M_int)
+    upper = support_bound(Lt_int, M_cols)
     assert rank <= upper <= L.nrows
-    assert controllable_dim(Lt_int, M_int, L.nrows) == rank
-    assert controllable_dim(Lt_int, M_int, upper) == rank
+    assert controllable_dim(Lt_int, M_cols, L.nrows) == rank
+    assert controllable_dim(Lt_int, M_cols, upper) == rank
 
 
 def test_modular_rank_drop_falls_back_to_exact():
     # L e1 = p e2 vanishes mod p: the modular rank is 1, the true dimension 2
     L_int = [[], [(0, MODULUS)]]
-    M_int = [[1], [0]]
-    assert _rank_mod_p(L_int, M_int, 2) == 1
-    assert controllable_dim(L_int, M_int, 2) == 2
-    assert controllable_dim(L_int, M_int, 2, backend="float") == 1
+    M_cols = [[1, 0]]
+    assert controllable_dim(L_int, M_cols, 2, backend="float") == 1
+    assert controllable_dim(L_int, M_cols, 2) == 2
     with pytest.raises(ValueError, match="backend"):
-        controllable_dim(L_int, M_int, 2, backend="svd")
+        controllable_dim(L_int, M_cols, 2, backend="svd")

@@ -67,6 +67,8 @@ def test_partition_validation():
         Partition(((1, 2), (2, 3)))
     with pytest.raises(InvalidPartitionError):
         Partition(((),))
+    with pytest.raises(InvalidPartitionError, match="node 1 appears twice in one cell"):
+        Partition(((1, 1), (2, 3), (4,)))
     with pytest.raises(InvalidPartitionError):
         partition_of([[1], [2]], 3)
     with pytest.raises(InvalidPartitionError):
