@@ -30,9 +30,11 @@ SYMMETRY_CONVENTIONS = ("entrywise", "transpose", "none")
 # ---------------------------------------------------------------------------
 
 def block_from(data, d: int | None = None) -> Block:
-    """Normalize a nested sequence (or bare scalar) into a d x d Fraction block."""
+    """Normalize a list of rows (or a bare scalar) into a d x d Fraction block."""
     if isinstance(data, (int, str, float, Fraction)):
         data = [[data]]
+    if not (isinstance(data, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in data)):
+        raise ValueError("weight block must be a scalar or a list of rows")
     rows = tuple(tuple(as_fraction(x) for x in row) for row in data)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("weight block must be square")
@@ -203,8 +205,11 @@ def cell_sums(g: MatrixWeightedGraph, cells, direction: str = "out") -> dict[int
     """``{node: {cell index: block sum}}`` over 0-based indices into ``cells``, in one edge pass.
 
     ``direction="out"`` sums A_ij over the j in a cell (the equitable-partition test);
-    ``"in"`` sums A_ji, for dual analysis. A cell the node has no edge into is absent
-    (cancelling edges leave a zero block); edges into no cell are left out.
+    ``"in"`` sums A_ji, the same test on the reversed adjacency. That is not the
+    test for L^T, whose diagonal holds the out-degrees: an in-sum EP of a digraph
+    need not be L^T-invariant, so it does not serve dual analysis. A cell the node
+    has no edge into is absent (cancelling edges leave a zero block); edges into no
+    cell are left out.
     """
     if direction not in ("out", "in"):
         raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")

@@ -2,13 +2,13 @@
 
 The subspace im(M) + L im(M) + L^2 im(M) + ... is built by one loop,
 ``_rounds``, over the integer Krylov columns ``D^k L^k M`` (D the lcm of L's
-denominators; ``integer_pair`` clears them). It tests each column once,
-exactly (``linalg.independent_vectors``) or over GF(``MODULUS``)
-(``linalg.independent_mod_p``), multiplies only the columns it keeps, and
-stops after a round that keeps nothing (the span is then L-invariant, so
-later powers add nothing). Independence mod p implies independence over Q,
-so the modular count is a lower bound on the dimension; the "float" backend
-keeps the columns independent mod p and is uncertified.
+denominators; ``integer_pair`` clears them). It tests each column once
+with ``linalg.independent_vectors``, over Q or over GF(``MODULUS``),
+multiplies only the columns it keeps, and stops after a round that keeps
+nothing (the span is then L-invariant, so later powers add nothing).
+Independence mod p implies independence over Q, so the modular count is a
+lower bound on the dimension; the "float" backend keeps the columns
+independent mod p and is uncertified.
 ``controllable_subspace`` divides the kept columns back into Fractions.
 
 ``controllable_dim`` reads only the dimension of an integer pair and takes a
@@ -68,29 +68,30 @@ def integer_pair(L: BlockMatrix, M: BlockMatrix):
     return L_int, M_cols, D, E
 
 
-def _rounds(L_int, cols, limit: int, independent, modulus: int | None = None):
+def _rounds(L_int, cols, limit: int, modulus: int | None = None, reduce: bool = True):
     """The Krylov loop: yields, per round, the integer columns it keeps.
 
     ``L_int`` is the nd x nd integer matrix as sparse rows ``[(column, int),
     ...]`` and ``cols`` the first round's dense integer columns. Each round
-    tests its columns, in order, with ``independent``
-    (``linalg.independent_vectors`` or ``linalg.independent_mod_p``) against
-    the pivots of every column kept before, and the next round is ``L_int``
-    times the columns kept. A dependent column's image lies in the span of
-    the images of the columns before it, which are all tested earlier, so
-    the kept columns are still the first independent columns of
-    ``[M, L M, L^2 M, ...]``. With ``modulus`` the products are reduced mod
-    it. Ends after a round that keeps nothing (the span is then invariant)
-    or once ``limit`` columns are kept; ``limit`` must be at least the
-    span's dimension.
+    tests its columns, in order, with ``linalg.independent_vectors`` (over
+    GF(``modulus``) when it is given, else over Q) against the pivots of
+    every column kept before, and the next round is ``L_int`` times the
+    columns kept. A dependent column's image lies in the span of the images
+    of the columns before it, which are all tested earlier, so the kept
+    columns are still the first independent columns of ``[M, L M, L^2 M,
+    ...]``. With ``modulus`` the products are reduced mod it, unless
+    ``reduce`` is False (a caller that needs the columns themselves). Ends
+    after a round that keeps nothing (the span is then invariant) or once
+    ``limit`` columns are kept; ``limit`` must be at least the span's
+    dimension.
     """
     pivots: dict = {}
     while True:
-        cols = [cols[j] for j in independent(cols, pivots, limit)]
+        cols = [cols[j] for j in linalg.independent_vectors(cols, pivots, limit, modulus)]
         yield cols
         if not cols or len(pivots) >= limit:
             return
-        if modulus is None:
+        if modulus is None or not reduce:
             cols = [[sum([x * col[c] for c, x in row]) for row in L_int] for col in cols]
         else:
             cols = [[sum([x * col[c] for c, x in row]) % modulus for row in L_int] for col in cols]
@@ -111,10 +112,10 @@ def controllable_dim(L_int, cols, upper: int, backend: str = "exact") -> int:
     leaders as singletons).
     """
     linalg.check_backend(backend)
-    low = sum(map(len, _rounds(L_int, cols, upper, linalg.independent_mod_p, MODULUS)))
+    low = sum(map(len, _rounds(L_int, cols, upper, MODULUS)))
     if low >= upper or backend == "float":
         return low
-    return sum(map(len, _rounds(L_int, cols, upper, linalg.independent_vectors)))
+    return sum(map(len, _rounds(L_int, cols, upper)))
 
 
 def support_bound(L_int, cols) -> int:
@@ -155,17 +156,17 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
     matrix E D^k L^k M, computed from ``D L`` as sparse int rows
     (``integer_pair``) by ``_rounds``, the loop ``controllable_dim`` runs too.
     A positive scale changes no independence, so only a kept column is
-    divided back into Fractions. The float backend tests the same columns
-    mod p instead. Callers that read only ``.dim`` of an integer pair with a
-    known upper bound use ``controllable_dim`` instead.
+    divided back into Fractions. The float backend tests the same exact
+    columns mod p instead. Callers that read only ``.dim`` of an integer pair
+    with a known upper bound use ``controllable_dim`` instead.
     """
     _check_pair(L, M)
     linalg.check_backend(backend)
     nd = L.nrows
     L_int, cols, D, scale = integer_pair(L, M)
-    independent = linalg.independent_vectors if backend == "exact" else linalg.independent_mod_p
+    modulus = None if backend == "exact" else MODULUS
     kept: list[list[Fraction]] = []
-    for cols in _rounds(L_int, cols, nd, independent):
+    for cols in _rounds(L_int, cols, nd, modulus, reduce=False):
         kept.extend([Fraction(x, scale) for x in col] for col in cols)
         scale *= D
     basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))

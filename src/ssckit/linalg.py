@@ -1,13 +1,15 @@
 """Exact linear algebra over rationals for small matrices.
 
-Dense matrices are lists of rows of ``fractions.Fraction``. Every exact
-elimination (ranks, the Krylov span, EP feasibility) runs on one step,
-``_add_row``, over denominator-cleared rows stored as ``{column: int}`` dicts
-(``integer_row`` converts a Fraction vector). ``integer_rref`` keeps its rows
-fully reduced, so ``solve_affine`` can read the solutions off them; ``rank``
-and ``independent_columns`` only need echelon form and skip the back
-reduction. The ``float`` rank backend is the rank over GF(``MODULUS``) of the
-denominator-cleared rows (``independent_mod_p``): never above the rank over
+Dense matrices are lists of rows of ``fractions.Fraction``. There are two
+elimination routines, both on denominator-cleared integers.
+``integer_rref`` reduces an EP constraint system, given as ``{column: int}``
+rows, to fully reduced form (Gauss-Jordan, one ``_add_row`` per row), so
+``solve_affine`` can read the solutions off it. ``independent_vectors``
+answers every rank and independence question (``rank``,
+``independent_columns``, the Krylov span) on dense integer vectors
+(``integer_vector`` clears a Fraction vector's denominators), pivoting on
+each vector's last nonzero coordinate. It works over the rationals, or over
+GF(``MODULUS``) for the ``float`` rank backend: never above the rank over
 the rationals and equal to it unless the prime divides some minor, but
 unchecked, so it never feeds a certification path.
 """
@@ -70,10 +72,10 @@ def mat_mul(a, b) -> Matrix:
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def integer_row(vec) -> SparseRow:
-    """A rational vector as ``{column: int}``, scaled by the lcm of its denominators."""
+def integer_vector(vec) -> list[int]:
+    """A rational vector as dense integers, scaled by the lcm of its denominators."""
     den = math.lcm(*(x.denominator for x in vec))
-    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(vec) if x}
+    return [x.numerator * (den // x.denominator) for x in vec]
 
 
 def check_backend(backend: str) -> None:
@@ -84,73 +86,69 @@ def check_backend(backend: str) -> None:
 def rank(m, backend: str = "exact") -> int:
     check_backend(backend)
     width = len(m[0]) if m else 0
-    if backend == "exact":
-        return len(independent_vectors(m, {}, width))
-    p = MODULUS
-    residues = ([row.get(c, 0) % p for c in range(width)] for row in map(integer_row, m))
-    return len(independent_mod_p(residues, {}, width))
+    modulus = None if backend == "exact" else MODULUS
+    return len(independent_vectors(map(integer_vector, m), {}, width, modulus))
 
 
-def independent_columns(m, pivots: dict[int, SparseRow] | None = None) -> list[int]:
+def independent_columns(m, pivots: dict[int, list[int]] | None = None) -> list[int]:
     """Indices of a lexicographically-first maximal independent column set of ``m``.
 
     Each column is kept iff it is independent of the columns kept before it.
-    ``pivots`` carries columns across calls: it is the echelon map of the
-    columns kept by earlier calls on matrices with the same row count, and it
-    is extended in place, so a column is also tested against those.
+    ``pivots`` carries columns across calls: it is the pivot map of
+    ``independent_vectors`` for the columns kept by earlier calls on matrices
+    with the same row count, and it is extended in place, so a column is also
+    tested against those.
     """
-    return independent_vectors(zip(*m), {} if pivots is None else pivots, len(m))
+    pivots = {} if pivots is None else pivots
+    return independent_vectors(map(integer_vector, zip(*m)), pivots, len(m))
 
 
-def independent_vectors(vectors, piv: dict[int, SparseRow], limit: int) -> list[int]:
-    """Indices of the rational or integer vectors independent of the ones before them.
+def independent_vectors(
+    vectors, piv: dict[int, list[int]], limit: int, modulus: int | None = None
+) -> list[int]:
+    """Indices of the integer vectors independent of the ones before them.
 
-    ``piv`` is an echelon map (lead column -> integer row) of the vectors kept
-    by earlier calls, extended in place. Scanning stops once ``piv`` holds
-    ``limit`` rows; ``limit`` at the vectors' length stops nothing early.
+    Independence is over the rationals, or over GF(``modulus``) when it is
+    given; a set independent mod p is independent over the rationals, so the
+    modular count is a lower bound on the rational rank. Each vector is a
+    dense list of integers. ``piv`` maps a lead column, a row's *last*
+    nonzero coordinate, to a row stored up to its lead: monic mod p, divided
+    by its content over Q. It carries the vectors kept by earlier calls and
+    is extended in place. A vector is reduced only while its lead is a
+    pivot, so a Krylov column that reaches one coordinate further than the
+    columns before it is kept without touching them. Over Q each reduction is
+    fraction-free and divided by the gcd of the result (Bareiss); mod p the
+    entries stay congruent and are reduced when read. Scanning stops once
+    ``piv`` holds ``limit`` rows; ``limit`` at the vectors' length stops
+    nothing early.
     """
-    keep = []
-    for j, vec in enumerate(vectors):
-        if len(piv) >= limit:
-            break
-        if _add_row(piv, integer_row(vec), reduced=False) is not None:
-            keep.append(j)
-    return keep
-
-
-def independent_mod_p(vectors, piv: dict[int, list[int]], limit: int) -> list[int]:
-    """Indices of the vectors independent over GF(``MODULUS``) of the ones before them.
-
-    Each vector is a dense list of integers, read mod ``MODULUS``. ``piv`` maps a
-    lead column, a row's *last* nonzero coordinate, to a monic row (1 at the
-    lead, 0 right of it), stored up to its lead; it carries the vectors kept
-    by earlier calls and is extended in place. A vector is reduced only while
-    its lead is a pivot, so a Krylov column that reaches one coordinate
-    further than the columns before it is kept without touching them.
-    Scanning stops once ``piv`` holds ``limit`` rows. The modular twin of
-    ``independent_vectors``: a set independent mod p is independent over the
-    rationals, so the count is a lower bound on the rational rank.
-    """
-    p = MODULUS
     keep = []
     for j, vec in enumerate(vectors):
         if len(piv) >= limit:
             break
         v = list(vec)
-        lead = len(v) - 1
-        while lead >= 0:
-            f = v[lead] % p
+        while v:
+            f = v[-1] if modulus is None else v[-1] % modulus
             if not f:
-                lead -= 1
-            elif lead in piv:
-                # entries stay congruent mod p; they are reduced when read
-                v[:lead + 1] = [a - f * b for a, b in zip(v, piv[lead])]
-                lead -= 1
-            else:
-                inv = pow(f, -1, p)
-                piv[lead] = [x * inv % p for x in v[:lead + 1]]
+                v.pop()
+            elif (row := piv.get(len(v) - 1)) is None:
+                if modulus is None:
+                    g = math.gcd(*v)
+                    piv[len(v) - 1] = [x // g for x in v]
+                else:
+                    inv = pow(f, -1, modulus)
+                    piv[len(v) - 1] = [x * inv % modulus for x in v]
                 keep.append(j)
                 break
+            elif modulus is None:
+                g = math.gcd(f, row[-1])
+                fv, fr = row[-1] // g, f // g
+                v = [fv * a - fr * b for a, b in zip(v, row)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+            else:
+                v = [a - f * b for a, b in zip(v, row)]
     return keep
 
 
@@ -209,30 +207,22 @@ def _normalise(row: SparseRow) -> SparseRow:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
-def _add_row(piv: dict[int, SparseRow], row: SparseRow, reduced: bool) -> int | None:
-    """Reduce ``row`` against ``piv`` and add it under its lead column; None if it vanishes.
+def _add_row(piv: dict[int, SparseRow], row: SparseRow) -> int | None:
+    """Reduce ``row`` into the fully reduced ``piv`` (Gauss-Jordan); its lead column, or None.
 
-    ``reduced`` keeps ``piv`` fully reduced (Gauss-Jordan): the row is cleared
-    at every pivot column and each earlier row at the new lead. Otherwise
-    ``piv`` stays in echelon form, where each row has no entry left of its
-    lead: the row is cleared only at its leading column while that is a
-    pivot, which is all a rank or independence question needs.
+    The row is cleared at every pivot column and each earlier row at the new
+    lead; None if the row vanishes.
     """
-    if reduced:
-        for c in [c for c in row if c in piv]:
-            # pivot rows are fully reduced, so this brings in no other pivot column
-            row = _combine(row, piv[c], c)
-    else:
-        while row and (lead := min(row)) in piv:
-            row = _combine(row, piv[lead], lead)
+    for c in [c for c in row if c in piv]:
+        # pivot rows are fully reduced, so this brings in no other pivot column
+        row = _combine(row, piv[c], c)
     if not row:
         return None
     lead = min(row)
     row = _normalise(row)
-    if reduced:
-        for pc, prow in list(piv.items()):
-            if lead in prow:
-                piv[pc] = _combine(prow, row, lead)
+    for pc, prow in list(piv.items()):
+        if lead in prow:
+            piv[pc] = _combine(prow, row, lead)
     piv[lead] = row
     return lead
 
@@ -255,6 +245,6 @@ def integer_rref(
     """
     piv = dict(pivots) if pivots else {}
     for row in rows:
-        if _add_row(piv, row, reduced=True) == rhs_col:
+        if _add_row(piv, row) == rhs_col:
             return None
     return piv

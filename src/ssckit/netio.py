@@ -186,7 +186,7 @@ def parse_network(text: str):
     name_of = dict(zip(pattern.edges, pattern.variable_names))
     for (i, j), raw in weights.items():
         name = name_of[(i, j) if directed else (min(i, j), max(i, j))]
-        extra.append(FixedConstraint(name, _parse_block(raw, d, "edges")))
+        extra.append(FixedConstraint(name, _parse_block(raw, d, f"edges[{first[(i, j)]}].weight")))
     if extra:
         try:
             pattern = WeightPattern.create(

@@ -367,7 +367,7 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
     if isinstance(system, WeightPattern):
         system = ep_constraint_system(system, None)
     form = _integer_form(system)
-    return _graph(system.pattern, form[0], _draw(system, form, seed))
+    return _graph(system.pattern, form[0], _draw(system.pattern, system.key(), form, seed))
 
 
 def _integer_form(system: EPConstraintSystem):
@@ -393,12 +393,12 @@ def _integer_form(system: EPConstraintSystem):
     return den, particular, basis, signs
 
 
-def _draw(system: EPConstraintSystem, form, seed) -> list[int]:
-    # the unknowns of sample_weights's draw, scaled by the _integer_form's den
+def _draw(pattern: WeightPattern, key: str, form, seed) -> list[int]:
+    # the unknowns of sample_weights's draw for the system with this key(),
+    # scaled by the _integer_form's den
     den, particular, basis, signs = form
-    pattern = system.pattern
     dd = pattern.d * pattern.d
-    rng = random.Random(f"{system.key()}|{seed}")
+    rng = random.Random(f"{key}|{seed}")
     budgets = [(SAMPLE_RANGE, REJECTION_BUDGET), (WIDENED_RANGE, REJECTION_BUDGET)]
     offender = None
     for spread, budget in budgets:
@@ -556,7 +556,7 @@ def estimate_ssc_dimension(
         samples = []
         for i in range(samples_per_system):
             sseed = _derive_seed(seed, key, i)
-            vec = _draw(system, form, sseed)
+            vec = _draw(pattern, key, form, sseed)
             if system is minsys and witness_weights is None:
                 witness_weights = tuple(
                     (e, _block(vec[idx * dd:(idx + 1) * dd], form[0], pattern.d))

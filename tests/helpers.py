@@ -9,6 +9,7 @@ a plain power loop.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -390,8 +391,35 @@ def spans_equal(basis_a, basis_b) -> bool:
     return sympy_domain_rank(hstack(a, b)) == ra
 
 
+def first_nonzero_independent_exact(vectors, piv, limit):
+    """The exact rule ``linalg.independent_vectors`` used before it pivoted on the last nonzero.
+
+    Rows are sparse ``{column: int}`` dicts led by their *first* nonzero
+    coordinate. A vector is reduced only at its lead, while that is a pivot,
+    by a fraction-free combination divided by the gcd of its entries, and
+    kept iff something nonzero is left.
+    """
+    keep = []
+    for j, vec in enumerate(vectors):
+        if len(piv) >= limit:
+            break
+        row = {c: x for c, x in enumerate(vec) if x}
+        while row and (lead := min(row)) in piv:
+            prow = piv[lead]
+            g = math.gcd(row[lead], prow[lead])
+            fr, fp = prow[lead] // g, row[lead] // g
+            row = {c: fr * row.get(c, 0) - fp * prow.get(c, 0) for c in row.keys() | prow.keys()}
+            row = {c: x for c, x in row.items() if x}
+            g = math.gcd(*row.values())
+            row = {c: x // g for c, x in row.items()}
+        if row:
+            piv[min(row)] = row
+            keep.append(j)
+    return keep
+
+
 def first_nonzero_independent_mod_p(vectors, piv, limit, p):
-    """``linalg.independent_mod_p`` with each row's lead at its *first* nonzero coordinate.
+    """``linalg.independent_vectors`` mod ``p``, each row's lead at its *first* nonzero coordinate.
 
     The rule the library used before it pivoted on the last nonzero: each
     vector is reduced against every pivot row left to right (rows stored

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import first_nonzero_independent_mod_p, hstack, rref, solve_affine, sympy_rank
+from helpers import (
+    first_nonzero_independent_exact,
+    first_nonzero_independent_mod_p,
+    hstack,
+    rref,
+    solve_affine,
+    sympy_rank,
+)
 from ssckit import linalg
 
 
@@ -80,10 +88,11 @@ def test_rank_edge_cases():
     assert linalg.rank([[Fraction(int(i == j)) for j in range(4)] for i in range(4)]) == 4
 
 
-def test_integer_row_clears_denominators():
-    row = linalg.integer_row([Fraction(1, 2), Fraction(0), Fraction(-2, 3), Fraction(5)])
-    assert row == {0: 3, 2: -4, 3: 30}
-    assert linalg.integer_row([Fraction(0), Fraction(0)]) == {}
+def test_integer_vector_clears_denominators():
+    vec = linalg.integer_vector([Fraction(1, 2), Fraction(0), Fraction(-2, 3), Fraction(5)])
+    assert vec == [3, 0, -4, 30]
+    assert linalg.integer_vector([Fraction(0), Fraction(0)]) == [0, 0]
+    assert linalg.integer_vector([2, -3]) == [2, -3]
 
 
 def test_independent_columns():
@@ -121,7 +130,9 @@ def test_solve_affine_reads_the_dense_solution_off_integer_rref():
             a[-1] = [Fraction(-3, 2) * x for x in a[0]]
         b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nr)]
         dense = solve_affine(a, b)
-        piv = linalg.integer_rref([linalg.integer_row(row + [x]) for row, x in zip(a, b)], nc)
+        rows = [{c: y for c, y in enumerate(linalg.integer_vector(row + [x])) if y}
+                for row, x in zip(a, b)]
+        piv = linalg.integer_rref(rows, nc)
         if dense is None:
             assert piv is None
         else:
@@ -188,45 +199,61 @@ def test_rank_product_bound(a_rows, b_rows):
 
 
 @st.composite
-def residue_vectors(draw):
-    # dense residue vectors, either random or banded like Krylov columns that
-    # fill in from the inputs outward; repeats and combinations make them dependent
+def integer_vectors(draw):
+    # dense integer vectors, read exactly or mod p, either random or banded like
+    # Krylov columns that fill in from the inputs outward; repeats and
+    # combinations make them dependent
     p = linalg.MODULUS
+    modulus = draw(st.sampled_from([None, p]))
     nd = draw(st.integers(min_value=1, max_value=64))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     small = draw(st.booleans())  # few distinct values, so cancellation is common
-    value = (lambda: rng.randint(-2, 2) % p) if small else (lambda: rng.randrange(p))
+
+    def value():
+        if small:
+            return rng.randint(-2, 2) if modulus is None else rng.randint(-2, 2) % p
+        return rng.randint(-9, 9) if modulus is None else rng.randrange(p)
+
     vectors = []
     for j in range(draw(st.integers(min_value=1, max_value=nd + 8))):
         kind = rng.random()
         if kind < 0.3 and vectors:
             a, b = rng.choice(vectors), rng.choice(vectors)
-            f = rng.randrange(p)
-            vectors.append([(x + f * y) % p for x, y in zip(a, b)])
+            f = rng.randint(-3, 3) if modulus is None else rng.randrange(p)
+            vec = [x + f * y for x, y in zip(a, b)]
+            vectors.append(vec if modulus is None else [x % p for x in vec])
         elif draw(st.booleans()):
             start = rng.randrange(nd)
             width = rng.randint(1, nd - start)
             vectors.append([value() if start <= c < start + width else 0 for c in range(nd)])
         else:
             vectors.append([value() if rng.random() < 0.5 else 0 for _ in range(nd)])
-    return nd, vectors
+    return modulus, nd, vectors
 
 
-@given(residue_vectors(), st.data())
+@given(integer_vectors(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_independent_mod_p_keeps_what_the_first_nonzero_rule_keeps(case, data):
-    # last-nonzero pivots keep the same vectors as the first-nonzero reference,
-    # also with the pivot map carried across two calls and a limit
-    nd, vectors = case
-    p = linalg.MODULUS
+    # last-nonzero pivots keep the same vectors as the first-nonzero references
+    # (the exact one on sparse rows, the modular one), also with the pivot map
+    # carried across two calls and a limit
+    modulus, nd, vectors = case
     limit = data.draw(st.integers(min_value=1, max_value=nd))
     split = data.draw(st.integers(min_value=0, max_value=len(vectors)))
     kept, ref = [], []
     piv, ref_piv = {}, {}
     for lo, hi in ((0, split), (split, len(vectors))):
-        kept += [lo + j for j in linalg.independent_mod_p(vectors[lo:hi], piv, limit)]
-        ref += [lo + j for j in first_nonzero_independent_mod_p(vectors[lo:hi], ref_piv, limit, p)]
+        kept += [lo + j for j in linalg.independent_vectors(vectors[lo:hi], piv, limit, modulus)]
+        if modulus is None:
+            ref_kept = first_nonzero_independent_exact(vectors[lo:hi], ref_piv, limit)
+        else:
+            ref_kept = first_nonzero_independent_mod_p(vectors[lo:hi], ref_piv, limit, modulus)
+        ref += [lo + j for j in ref_kept]
     assert kept == ref
     assert len(piv) == len(ref_piv) == len(kept) <= limit
     for lead, row in piv.items():
-        assert len(row) == lead + 1 and row[lead] == 1
+        assert len(row) == lead + 1 and row[lead]
+        if modulus is None:
+            assert math.gcd(*row) == 1
+        else:
+            assert row[lead] == 1

@@ -100,6 +100,19 @@ def test_parse_error_catalogue():
     for key, value in (("variables", 5), ("variables", None), ("constraints", 5)):
         with pytest.raises(ParseError, match=key):
             parse_network(json.dumps(dict(pattern, **{key: value})))
+    # a block is a bare scalar or a list of rows: strings and objects are not
+    # split into characters or keys, on a graph, a pattern edge or a fixed value
+    for d, weight in ((2, ["12", "34"]), (1, {"7": 0}), (1, ["7"]), (2, [[1, 2], "34"])):
+        graph = {"n": 2, "d": d, "leaders": [1], "edges": [{"i": 1, "j": 2, "weight": weight}]}
+        pattern = dict(graph, variables=[{"edge": [1, 2], "name": "a"}])
+        for doc in (graph, pattern):
+            with pytest.raises(ParseError, match=r"edges\[0\]\.weight"):
+                parse_network(json.dumps(doc))
+        fixed = {"n": 2, "d": d, "leaders": [1], "edges": [{"i": 1, "j": 2}],
+                 "variables": [{"edge": [1, 2], "name": "a"}],
+                 "constraints": [{"kind": "fixed", "args": ["a", weight]}]}
+        with pytest.raises(ParseError, match=r"constraints\[0\]"):
+            parse_network(json.dumps(fixed))
     # 1e400 reads as inf, which has no rational value (nor has NaN)
     for weight in ("1e400", "-1e400", "NaN"):
         with pytest.raises(ParseError, match=r"edges\[0\]\.weight"):

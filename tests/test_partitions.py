@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_coarsest,
+    hstack,
     random_ep_lift,
     random_graph,
     reference_cell_degree,
@@ -164,6 +165,20 @@ def test_verify_equitable_direction_flag():
     pi = Partition(((1, 2), (3,)))
     assert not verify_equitable(g, pi, direction="out").verdict
     assert verify_equitable(g, pi, direction="in").verdict
+
+
+def test_in_direction_ep_need_not_be_transpose_invariant():
+    # "in" is the EP test of the reversed adjacency, not of L^T: the diagonal of
+    # L^T is the out-degree, so an in-sum EP can fail L^T P = P Q
+    g = scalar_graph(3, {(1, 2): 1, (1, 3): 1, (2, 1): 5}, leaders=(1,), directed=True)
+    pi = coarsest_ep(g, [1], direction="in")
+    assert pi == Partition(((1,), (2, 3)))
+    assert verify_equitable(g, pi, direction="in").verdict
+    P = characteristic_matrix(pi, 3, 1)
+    LtP = (build_laplacian(g).transpose() @ P).to_lists()
+    assert LtP == [[2, -5], [-1, 5], [-1, 0]]
+    # rows 2 and 3 share a cell but differ, so L^T P is not P Q for any Q
+    assert linalg.rank(hstack(P.to_lists(), LtP)) > linalg.rank(P.to_lists())
 
 
 def test_verify_equitable_non_partition():

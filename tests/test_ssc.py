@@ -439,7 +439,7 @@ def test_laplacian_rows_match_build_laplacian(kind, d):
         form = ssc._integer_form(system)
         den = form[0]
         for seed in range(3):
-            vec = ssc._draw(system, form, seed)
+            vec = ssc._draw(pattern, system.key(), form, seed)
             rows = laplacian_rows(pattern.n, pattern.d, prepared.out, vec)
             L = build_laplacian(sample_weights(system, seed))
             assert len(rows) == L.nrows
