@@ -1,8 +1,9 @@
-"""Command-line surface.
+"""Command-line surface: ssckit <command> [options].
 
-Commands: laplacian, ep, quotient, bound, dual, corpus. Exit codes:
-0 ok, 2 parse error, 3 bad argument, 4 enumeration cap exceeded, 5 internal.
-Identical configuration (seed included) produces byte-identical JSON output.
+Every option is accepted by every command, before or after the command
+name. Exit codes: 0 ok, 2 parse error, 3 bad argument, 4 enumeration cap
+exceeded, 5 internal. Identical configuration (seed included) produces
+byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import linalg
@@ -69,27 +69,6 @@ class WrongInputKind(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    command: str
-    input: str | None
-    partition: str | None
-    mode: str
-    samples: int
-    seed: int
-    backend: str
-    fmt: str
-    cap: int
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("--samples must be >= 1")
-        if self.cap < 1:
-            raise ValueError("--cap must be >= 1")
-        if self.backend not in linalg.RANK_BACKENDS:
-            raise ValueError(f"--backend must be one of {linalg.RANK_BACKENDS}")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; that slot belongs to parse errors here
     def error(self, message):
@@ -98,37 +77,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--input", help="path to a network document")
-    common.add_argument("--partition", help="JSON list of cells, e.g. '[[1],[2,3],[4]]'")
-    common.add_argument("--mode", choices=["strict", "cancellative"], default="cancellative")
-    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--backend", choices=["exact", "float"],
+    """One parser: a command named in ``COMMANDS`` and every option, each added once."""
+    listing = "\n".join(f"  {name:<10} {fn.__doc__}" for name, fn in COMMANDS.items())
+    parser = _Parser(prog="ssckit", description=__doc__, epilog="commands:\n" + listing,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--input", help="path to a network document")
+    parser.add_argument("--partition", help="JSON list of cells, e.g. '[[1],[2,3],[4]]'")
+    parser.add_argument("--mode", choices=["strict", "cancellative"], default="cancellative")
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    parser.add_argument("--seed", type=int, default=0)
+    # read per call, so a test or caller can set the variable after import
+    parser.add_argument("--backend", choices=linalg.RANK_BACKENDS,
                         default=os.environ.get(BACKEND_ENV_VAR, "exact"))
-    common.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    common.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-
-    parser = _Parser(prog="ssckit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("laplacian", parents=[common], help="print L and M for a concrete graph")
-    sub.add_parser("ep", parents=[common],
-                   help="verify a partition, or find the coarsest leader-protected EP")
-    sub.add_parser("quotient", parents=[common], help="quotient graph and its Laplacian")
-    sub.add_parser("bound", parents=[common], help="SSC upper bound and sampled dimensions")
-    sub.add_parser("dual", parents=[common], help="dual pair, observability rank, edge reversal")
-    sub.add_parser("corpus", parents=[common], help="run the bundled fixture checks")
+    parser.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
+    parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     return parser
 
 
-def _load_graph(cfg: AnalysisConfig) -> MatrixWeightedGraph:
+def _load_graph(cfg: argparse.Namespace) -> MatrixWeightedGraph:
     obj = _load_any(cfg)
     if not isinstance(obj, MatrixWeightedGraph):
         raise WrongInputKind("this command needs a concrete graph, not a weight pattern")
     return obj
 
 
-def _load_pattern(cfg: AnalysisConfig) -> WeightPattern:
+def _load_pattern(cfg: argparse.Namespace) -> WeightPattern:
     obj = _load_any(cfg)
     if not isinstance(obj, WeightPattern):
         raise WrongInputKind(
@@ -138,7 +113,7 @@ def _load_pattern(cfg: AnalysisConfig) -> WeightPattern:
     return obj
 
 
-def _load_any(cfg: AnalysisConfig):
+def _load_any(cfg: argparse.Namespace):
     if not cfg.input:
         raise WrongInputKind("--input is required for this command")
     try:
@@ -148,7 +123,7 @@ def _load_any(cfg: AnalysisConfig):
     return parse_network(text)
 
 
-def _parse_partition_flag(cfg: AnalysisConfig, n: int) -> Partition:
+def _parse_partition_flag(cfg: argparse.Namespace, n: int) -> Partition:
     try:
         cells = json.loads(cfg.partition)
     except json.JSONDecodeError as exc:
@@ -162,7 +137,8 @@ def _parse_partition_flag(cfg: AnalysisConfig, n: int) -> Partition:
     return partition_of(cells, n)
 
 
-def cmd_laplacian(cfg: AnalysisConfig) -> int:
+def cmd_laplacian(cfg: argparse.Namespace) -> int:
+    """Print L and M for a concrete graph."""
     g = _load_graph(cfg)
     L = build_laplacian(g)
     M = build_input_matrix(g.leaders, g.n, g.d)
@@ -180,7 +156,8 @@ def cmd_laplacian(cfg: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ep(cfg: AnalysisConfig) -> int:
+def cmd_ep(cfg: argparse.Namespace) -> int:
+    """Verify a partition, or find the coarsest leader-protected EP."""
     g = _load_graph(cfg)
     if cfg.partition:
         pi = _parse_partition_flag(cfg, g.n)
@@ -206,7 +183,8 @@ def cmd_ep(cfg: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def cmd_quotient(cfg: AnalysisConfig) -> int:
+def cmd_quotient(cfg: argparse.Namespace) -> int:
+    """Quotient graph and its Laplacian."""
     g = _load_graph(cfg)
     pi = _parse_partition_flag(cfg, g.n) if cfg.partition else coarsest_ep(g, g.leaders)
     q = quotient(g, pi)
@@ -225,7 +203,8 @@ def cmd_quotient(cfg: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bound(cfg: AnalysisConfig) -> int:
+def cmd_bound(cfg: argparse.Namespace) -> int:
+    """SSC upper bound and sampled dimensions."""
     pattern = _load_pattern(cfg)
     report = estimate_ssc_dimension(
         pattern,
@@ -253,7 +232,8 @@ def cmd_bound(cfg: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dual(cfg: AnalysisConfig) -> int:
+def cmd_dual(cfg: argparse.Namespace) -> int:
+    """Dual pair, observability rank, edge reversal."""
     g = _load_graph(cfg)
     nd = g.n * g.d
     # den * L as sparse integer rows, read from the edges; L^T by a sparse transpose
@@ -294,7 +274,8 @@ def cmd_dual(cfg: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def cmd_corpus(cfg: AnalysisConfig) -> int:
+def cmd_corpus(cfg: argparse.Namespace) -> int:
+    """Run the bundled fixture checks."""
     results = run_corpus(samples=cfg.samples, seed=cfg.seed, backend=cfg.backend)
     if cfg.fmt == "json":
         sys.stdout.write(dumps({
@@ -321,20 +302,15 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    cfg = build_parser().parse_args(argv)
     try:
-        cfg = AnalysisConfig(
-            command=ns.command,
-            input=ns.input,
-            partition=ns.partition,
-            mode=ns.mode,
-            samples=ns.samples,
-            seed=ns.seed,
-            backend=ns.backend,
-            fmt=ns.fmt,
-            cap=ns.cap,
-        )
+        if cfg.samples < 1:
+            raise ValueError("--samples must be >= 1")
+        if cfg.cap < 1:
+            raise ValueError("--cap must be >= 1")
+        # an SSCKIT_BACKEND default does not pass through argparse's choices
+        if cfg.backend not in linalg.RANK_BACKENDS:
+            raise ValueError(f"--backend must be one of {linalg.RANK_BACKENDS}")
         return COMMANDS[cfg.command](cfg)
     except ParseError as exc:
         print(f"ssckit: parse error: {exc}", file=sys.stderr)

@@ -140,6 +140,36 @@ def _validate_leaders(leaders: Iterable[int], n: int) -> tuple[int, ...]:
     return leaders
 
 
+def _check_topology(obj, kind: str, edges: Iterable[Edge]) -> None:
+    """Checks of a graph's or pattern's n, d, symmetry, leaders and ``edges``; ``kind`` names it."""
+    n = obj.n
+    if n < 1 or obj.d < 1:
+        raise ValueError("n and d must be positive")
+    if obj.directed:
+        if obj.symmetry != "none":
+            raise ValueError(f"directed {kind} use symmetry convention 'none'")
+    elif obj.symmetry not in ("entrywise", "transpose"):
+        raise ValueError(f"unknown symmetry convention {obj.symmetry!r}")
+    _validate_leaders(obj.leaders, n)
+    for (i, j) in edges:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+
+
+def _mirrored(adjacency: dict[Edge, Block], directed: bool, symmetry: str) -> dict[Edge, Block]:
+    """Add the mirror of each undirected edge given in one direction only, in place.
+
+    An edge given in both directions is left to the graph's check of the convention.
+    """
+    if not directed:
+        for (i, j), blk in list(adjacency.items()):
+            if (j, i) not in adjacency:
+                adjacency[(j, i)] = blk if symmetry == "entrywise" else block_transpose(blk)
+    return adjacency
+
+
 @dataclass(frozen=True)
 class MatrixWeightedGraph:
     n: int
@@ -150,19 +180,8 @@ class MatrixWeightedGraph:
     symmetry: str = "entrywise"
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive")
-        if self.directed:
-            if self.symmetry != "none":
-                raise ValueError("directed graphs use symmetry convention 'none'")
-        elif self.symmetry not in ("entrywise", "transpose"):
-            raise ValueError(f"unknown symmetry convention {self.symmetry!r}")
-        _validate_leaders(self.leaders, self.n)
+        _check_topology(self, "graphs", self.adjacency)
         for (i, j), blk in self.adjacency.items():
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
             if len(blk) != self.d:
                 raise ValueError(f"edge ({i},{j}) weight is not {self.d}x{self.d}")
             if block_is_zero(blk):
@@ -191,14 +210,9 @@ class MatrixWeightedGraph:
         """Build a graph from any block-like weights, mirroring undirected edges."""
         if symmetry is None:
             symmetry = "none" if directed else "entrywise"
-        adjacency: dict[Edge, Block] = {}
-        for (i, j), w in edges.items():
-            adjacency[(int(i), int(j))] = block_from(w, d)
-        if not directed:
-            for (i, j), blk in list(adjacency.items()):
-                if (j, i) not in adjacency:
-                    adjacency[(j, i)] = blk if symmetry == "entrywise" else block_transpose(blk)
-        return cls(n, d, directed, adjacency, tuple(leaders), symmetry)
+        adjacency = {(int(i), int(j)): block_from(w, d) for (i, j), w in edges.items()}
+        return cls(n, d, directed, _mirrored(adjacency, directed, symmetry),
+                   tuple(leaders), symmetry)
 
 
 def cell_sums(g: MatrixWeightedGraph, cells, direction: str = "out") -> dict[int, dict[int, Block]]:
@@ -363,20 +377,9 @@ class WeightPattern:
     symmetry: str = "entrywise"
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive")
-        if self.directed:
-            if self.symmetry != "none":
-                raise ValueError("directed patterns use symmetry convention 'none'")
-        elif self.symmetry not in ("entrywise", "transpose"):
-            raise ValueError(f"unknown symmetry convention {self.symmetry!r}")
-        _validate_leaders(self.leaders, self.n)
+        _check_topology(self, "patterns", self.edges)
         seen: set[Edge] = set()
         for (i, j) in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
             if not self.directed and i > j:
                 raise ValueError(f"undirected pattern edge ({i},{j}) must be stored as ({j},{i})")
             if (i, j) in seen:

@@ -19,9 +19,10 @@ from .graphs import (
     MatrixWeightedGraph,
     SignConstraint,
     WeightPattern,
+    _mirrored,
     block_from,
 )
-from .render import block_to_json
+from .render import block_to_json, dumps
 
 # Largest state dimension n*d a document may declare. `laplacian` builds dense
 # nd x nd Fraction matrices (`quotient` a kd x kd one; `dual` only sparse integer
@@ -115,13 +116,12 @@ def parse_network(text: str):
             weights[(i, j)] = e["weight"]
 
     if not is_pattern:
-        adjacency = {}
-        for key, raw in weights.items():
-            adjacency[key] = _parse_block(raw, d, f"edges[{first[key]}].weight")
+        # each weight is normalised here, once, where its location is known
+        adjacency = {key: _parse_block(raw, d, f"edges[{first[key]}].weight")
+                     for key, raw in weights.items()}
         try:
-            return MatrixWeightedGraph.create(
-                n, d, adjacency, leaders, directed=directed, symmetry=symmetry
-            )
+            return MatrixWeightedGraph(n, d, directed, _mirrored(adjacency, directed, symmetry),
+                                       tuple(leaders), symmetry)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
@@ -215,7 +215,7 @@ def serialize_network(obj) -> str:
             {"i": i, "j": j, "weight": block_to_json(obj.adjacency[(i, j)])}
             for (i, j) in keys
         ]
-        return json.dumps(doc, indent=2) + "\n"
+        return dumps(doc)
     if isinstance(obj, WeightPattern):
         doc = {"n": obj.n, "d": obj.d, "directed": obj.directed}
         if not obj.directed:
@@ -235,5 +235,5 @@ def serialize_network(obj) -> str:
             else:
                 cons.append({"kind": "sign", "args": [c.var, c.sign]})
         doc["constraints"] = cons
-        return json.dumps(doc, indent=2) + "\n"
+        return dumps(doc)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -121,17 +121,9 @@ class EPReport:
     violations: tuple[EPViolation, ...]
 
 
-def verify_equitable(
-    g: MatrixWeightedGraph,
-    pi: Partition,
-    include_same_cell: bool = True,
-    direction: str = "out",
-) -> EPReport:
-    """Check the equitable-partition condition, enumerating every violating tuple."""
-    pi = partition_of(pi.cells, g.n)
-    sums = cell_sums(g, pi.cells, direction)
-    zero = block_zeros(g.d)
-    violations = []
+def _violations(pi: Partition, sums, d: int, include_same_cell: bool = True):
+    """Each violating tuple of the cell-sum table ``sums`` of ``pi``, in report order."""
+    zero = block_zeros(d)
     for ci, cell in enumerate(pi.cells, start=1):
         for r, s in itertools.combinations(cell, 2):
             for cj in range(1, pi.k + 1):
@@ -140,8 +132,19 @@ def verify_equitable(
                 sum_r = sums.get(r, {}).get(cj - 1, zero)
                 sum_s = sums.get(s, {}).get(cj - 1, zero)
                 if sum_r != sum_s:
-                    violations.append(EPViolation(ci, r, s, cj, sum_r, sum_s))
-    return EPReport(not violations, tuple(violations))
+                    yield EPViolation(ci, r, s, cj, sum_r, sum_s)
+
+
+def verify_equitable(
+    g: MatrixWeightedGraph,
+    pi: Partition,
+    include_same_cell: bool = True,
+    direction: str = "out",
+) -> EPReport:
+    """Check the equitable-partition condition, enumerating every violating tuple."""
+    pi = partition_of(pi.cells, g.n)
+    violations = tuple(_violations(pi, cell_sums(g, pi.cells, direction), g.d, include_same_cell))
+    return EPReport(not violations, violations)
 
 
 def coarsest_ep(
@@ -195,14 +198,14 @@ class QuotientGraph:
 
 def quotient(g: MatrixWeightedGraph, pi: Partition) -> QuotientGraph:
     """Quotient graph over an equitable partition; refuses non-equitable input."""
-    report = verify_equitable(g, pi)
-    if not report.verdict:
-        v = report.violations[0]
+    pi = partition_of(pi.cells, g.n)
+    sums = cell_sums(g, pi.cells)
+    v = next(_violations(pi, sums, g.d), None)
+    if v is not None:
         raise NotEquitableError(
             f"partition is not equitable: nodes {v.r} and {v.s} of cell {v.cell} "
             f"have unequal sums into cell {v.target_cell}"
         )
-    sums = cell_sums(g, pi.cells)
     adjacency: dict[tuple[int, int], Block] = {}
     for i, cell in enumerate(pi.cells):
         for j, w in sorted(sums.get(cell[0], {}).items()):

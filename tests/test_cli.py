@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_graph, sympy_rank
-from ssckit.cli import main
+from ssckit.cli import COMMANDS, main
 from ssckit.graphs import MatrixWeightedGraph, build_input_matrix, build_laplacian
 from ssckit.krylov import observability_matrix
 from ssckit.netio import MAX_STATE_DIM, parse_network, serialize_network
@@ -181,6 +181,8 @@ def test_quotient_non_equitable_exit3(tmp_path, capsys):
     code, _, err = run(capsys, "quotient", "--input", str(path),
                        "--partition", "[[1],[2,3],[4]]")
     assert code == 3 and "not equitable" in err
+    # the first violation in verify_equitable's report order names the pair
+    assert "nodes 2 and 3 of cell 2 have unequal sums into cell 1" in err
 
 
 def test_bound_command_json(capsys):
@@ -340,8 +342,12 @@ def test_bound_json_byte_identical(capsys):
     out1 = capsys.readouterr().out
     code2 = main(args)
     out2 = capsys.readouterr().out
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # options may also come before the command
+    code3 = main(["--format", "json", "--seed", "9", "bound",
+                  "--input", str(FIXTURES / "star4_pattern.json"), "--samples", "6"])
+    out3 = capsys.readouterr().out
+    assert code1 == code2 == code3 == 0
+    assert out1 == out2 == out3
 
 
 def test_bound_mode_recorded(tmp_path, capsys):
@@ -377,6 +383,11 @@ def test_backend_env_var(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert doc["backend"] == "float" and doc["certified"] is False
+    # a default from the environment does not pass through argparse's choices
+    monkeypatch.setenv("SSCKIT_BACKEND", "bogus")
+    code, out, err = run(capsys, "corpus")
+    assert code == 3 and out == ""
+    assert "--backend must be one of ('exact', 'float')" in err
 
 
 def test_dual_command(capsys):
@@ -467,15 +478,27 @@ def test_corpus_json(capsys):
 
 
 def test_bad_flag_values_exit3(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bound", "--input", "x.json", "--mode", "sloppy"])
-    assert exc.value.code == 3
+    for argv in (["bound", "--input", "x.json", "--mode", "sloppy"], [], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
     code, _, _ = run(capsys, "bound", "--input",
                      str(FIXTURES / "star4_pattern.json"), "--samples", "0")
     assert code == 3
     code, _, _ = run(capsys, "bound", "--input",
                      str(FIXTURES / "star4_pattern.json"), "--cap", "0")
     assert code == 3
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert list(COMMANDS) == ["laplacian", "ep", "quotient", "bound", "dual", "corpus"]
+    for name, fn in COMMANDS.items():
+        assert f"  {name:<10} {fn.__doc__}" in lines
+    assert "  ep         Verify a partition, or find the coarsest leader-protected EP." in lines
 
 
 def test_missing_input_exit3(capsys):

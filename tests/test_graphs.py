@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,29 @@ def test_graph_invariant_violations():
         MatrixWeightedGraph(
             2, 1, {(1, 2): ((Fraction(1),),)}, (1,), "entrywise"
         )  # missing mirror for an undirected graph
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"n": 0}, "n and d must be positive"),
+    ({"d": 0}, "n and d must be positive"),
+    ({"directed": True}, "directed {kind} use symmetry convention 'none'"),
+    ({"symmetry": "skew"}, "unknown symmetry convention 'skew'"),
+    ({"leaders": ()}, "leader set must be nonempty"),
+    ({"edge": (1, 4)}, "edge (1,4) out of range 1..3"),
+    ({"edge": (2, 2)}, "self-loop at node 2"),
+])
+def test_graphs_and_patterns_share_topology_checks(change, message):
+    cfg = {"n": 3, "d": 1, "directed": False, "symmetry": "entrywise", "leaders": (1,),
+           "edge": (1, 2), **change}
+    n, d, directed, symmetry, leaders, edge = cfg.values()
+
+    def exactly(kind):
+        return "^" + re.escape(message.format(kind=kind)) + "$"
+
+    with pytest.raises(ValueError, match=exactly("graphs")):
+        MatrixWeightedGraph(n, d, directed, {edge: ((Fraction(1),),)}, leaders, symmetry)
+    with pytest.raises(ValueError, match=exactly("patterns")):
+        WeightPattern(n, d, directed, leaders, (edge,), ("a",), (), symmetry)
 
 
 def test_single_node_graph_allowed():
