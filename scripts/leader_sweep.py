@@ -10,21 +10,14 @@ positions (the star center vs a leaf, say) show up immediately.
 """
 
 import argparse
+import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ssckit.graphs import WeightPattern
 from ssckit.netio import parse_network
 from ssckit.ssc import min_cell_ep
-
-
-@dataclass(frozen=True)
-class LeaderSweepConfig:
-    pattern_path: str
-    cap: int
 
 
 def main() -> int:
@@ -33,19 +26,14 @@ def main() -> int:
     ap.add_argument("pattern", help="path to a weight-pattern document")
     ap.add_argument("--cap", type=int, default=12)
     ns = ap.parse_args()
-    cfg = LeaderSweepConfig(ns.pattern, ns.cap)
 
-    base = parse_network(Path(cfg.pattern_path).read_text())
+    base = parse_network(Path(ns.pattern).read_text())
     nd = base.n * base.d
     print(f"{'leader':>6} {'k_min':>6} {'bound':>6} {'of':>4}  verdict")
     for leader in range(1, base.n + 1):
-        pattern = WeightPattern.create(
-            base.n, base.d, base.edges, [leader],
-            directed=base.directed, symmetry=base.symmetry,
-            variable_names=dict(zip(base.edges, base.variable_names)),
-            constraints=base.constraints,
-        )
-        system = min_cell_ep(pattern, cap=cfg.cap)
+        # __post_init__ checks the new leader like any other
+        pattern = dataclasses.replace(base, leaders=(leader,))
+        system = min_cell_ep(pattern, cap=ns.cap)
         k = system.partition.k
         bound = base.d * k
         verdict = "not SSC" if bound < nd else "undecided"

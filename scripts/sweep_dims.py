@@ -12,7 +12,6 @@ the d*k_min bound is.
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -23,18 +22,10 @@ from ssckit.netio import parse_network
 from ssckit.ssc import enumerate_feasible_eps, sample_weights, ssc_upper_bound
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    pattern_path: str
-    draws: int
-    seed: int
-    cap: int
-
-
-def dims_for(system_or_pattern, cfg: SweepConfig, label: str) -> Counter:
+def dims_for(system_or_pattern, ns: argparse.Namespace, label: str) -> Counter:
     counts = Counter()
-    for i in range(cfg.draws):
-        g = sample_weights(system_or_pattern, seed=f"sweep:{cfg.seed}:{label}:{i}")
+    for i in range(ns.draws):
+        g = sample_weights(system_or_pattern, seed=f"sweep:{ns.seed}:{label}:{i}")
         L = build_laplacian(g)
         M = build_input_matrix(g.leaders, g.n, g.d)
         counts[controllable_subspace(L, M).dim] += 1
@@ -49,11 +40,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cap", type=int, default=12)
     ns = ap.parse_args()
-    cfg = SweepConfig(ns.pattern, ns.draws, ns.seed, ns.cap)
 
-    pattern = parse_network(Path(cfg.pattern_path).read_text())
+    pattern = parse_network(Path(ns.pattern).read_text())
     nd = pattern.n * pattern.d
-    bound = ssc_upper_bound(pattern, cap=cfg.cap)
+    bound = ssc_upper_bound(pattern, cap=ns.cap)
     print(f"state dimension {nd}, certified upper bound {bound}")
 
     def show(label, counts):
@@ -63,12 +53,12 @@ def main() -> int:
             bar = "#" * round(40 * counts[dim] / total)
             print(f"  dim {dim:>3}: {counts[dim]:>5}  {bar}")
 
-    show("unconstrained", dims_for(pattern, cfg, "free"))
-    for system in enumerate_feasible_eps(pattern, cap=cfg.cap):
+    show("unconstrained", dims_for(pattern, ns, "free"))
+    for system in enumerate_feasible_eps(pattern, cap=ns.cap):
         if system.partition.k == pattern.n:
             continue  # all-singleton duplicates the unconstrained draw
         label = str(system.partition.to_lists())
-        show(f"EP-constrained {label}", dims_for(system, cfg, label))
+        show(f"EP-constrained {label}", dims_for(system, ns, label))
     return 0
 
 

@@ -43,7 +43,6 @@ from .render import (
     ep_report_to_dict,
     format_block,
     format_block_matrix,
-    matrix_to_json,
     partition_to_text,
     quotient_to_dict,
 )
@@ -145,8 +144,8 @@ def cmd_laplacian(cfg: argparse.Namespace) -> int:
     if cfg.fmt == "json":
         sys.stdout.write(dumps({
             "n": g.n, "d": g.d, "directed": g.directed, "leaders": list(g.leaders),
-            "laplacian": matrix_to_json(L),
-            "input_matrix": matrix_to_json(M),
+            "laplacian": block_to_json(L.entries),
+            "input_matrix": block_to_json(M.entries),
         }))
     else:
         print(f"Laplacian L ({L.nrows}x{L.ncols}):")
@@ -192,7 +191,7 @@ def cmd_quotient(cfg: argparse.Namespace) -> int:
     if cfg.fmt == "json":
         payload = {"partition": pi.to_lists()}
         payload.update(quotient_to_dict(q))
-        payload["quotient_laplacian"] = matrix_to_json(Lq)
+        payload["quotient_laplacian"] = block_to_json(Lq.entries)
         sys.stdout.write(dumps(payload))
     else:
         print(f"partition {partition_to_text(pi)}")

@@ -215,45 +215,38 @@ class MatrixWeightedGraph:
                    tuple(leaders), symmetry)
 
 
-def cell_sums(g: MatrixWeightedGraph, cells, direction: str = "out") -> dict[int, dict[int, Block]]:
+def cell_sums(g: MatrixWeightedGraph, cells) -> dict[int, dict[int, Block]]:
     """``{node: {cell index: block sum}}`` over 0-based indices into ``cells``, in one edge pass.
 
-    ``direction="out"`` sums A_ij over the j in a cell (the equitable-partition test);
-    ``"in"`` sums A_ji, the same test on the reversed adjacency. That is not the
-    test for L^T, whose diagonal holds the out-degrees: an in-sum EP of a digraph
-    need not be L^T-invariant, so it does not serve dual analysis. A cell the node
-    has no edge into is absent (cancelling edges leave a zero block); edges into no
-    cell are left out.
+    Node i's entry for a cell sums A_ij over the j in it: the out-sum, or row,
+    condition L P = P Q that every equitable-partition test here reads. A cell
+    the node has no edge into is absent (cancelling edges leave a zero block);
+    edges into no cell are left out.
     """
-    if direction not in ("out", "in"):
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
     cell_of = {v: idx for idx, cell in enumerate(cells) for v in cell}
     sums: dict[int, dict[int, Block]] = {}
     for (i, j), blk in g.adjacency.items():
-        node, target = (i, j) if direction == "out" else (j, i)
-        idx = cell_of.get(target)
+        idx = cell_of.get(j)
         if idx is not None:
-            row = sums.setdefault(node, {})
+            row = sums.setdefault(i, {})
             row[idx] = block_add(row[idx], blk) if idx in row else blk
     return sums
 
 
 def degree(g: MatrixWeightedGraph, i: int) -> Block:
     """Block sum of the weights from node i to its (out-)neighbors."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"node index {i} out of range 1..{g.n}")
-    return cell_sums(g, [range(1, g.n + 1)]).get(i, {}).get(0, block_zeros(g.d))
+    return cell_degree(g, i, range(1, g.n + 1))
 
 
-def cell_degree(g: MatrixWeightedGraph, i: int, cell: Iterable[int], direction: str = "out") -> Block:
-    """Block sum of the weights between node i and the nodes of ``cell``, as in ``cell_sums``."""
+def cell_degree(g: MatrixWeightedGraph, i: int, cell: Iterable[int]) -> Block:
+    """Block sum of the weights from node i to the nodes of ``cell``, as in ``cell_sums``."""
     if not 1 <= i <= g.n:
         raise ValueError(f"node index {i} out of range 1..{g.n}")
     members = set(cell)
     for j in members:
         if not 1 <= j <= g.n:
             raise ValueError(f"node index {j} out of range 1..{g.n}")
-    return cell_sums(g, [members], direction).get(i, {}).get(0, block_zeros(g.d))
+    return cell_sums(g, [members]).get(i, {}).get(0, block_zeros(g.d))
 
 
 def integer_edges(n: int, d: int, adjacency: Mapping[Edge, Block]):

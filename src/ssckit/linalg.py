@@ -52,15 +52,6 @@ def as_fraction(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational scalar")
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def fraction_to_json(x: Fraction):
-    """Integers serialize as JSON ints, everything else as "p/q"."""
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def transpose(m) -> Matrix:
     return [list(col) for col in zip(*m)] if m else []
 

@@ -3,7 +3,10 @@
 A partition is a list of disjoint nonempty cells covering 1..n, kept in
 canonical form: cells ordered by smallest member, members ascending. A
 partition is equitable when any two nodes of one cell have equal block
-weight-sums into every cell; the quotient graph then carries those sums as
+out-sums (A_ij summed over the j of a cell) into every cell: the row
+condition L P = P Q of Laplacian dynamics. There is no in-sum variant; an
+in-sum EP of a digraph need not be L^T-invariant, and ``dual`` analyses the
+pair (L^T, M) by Krylov ranks instead. The quotient graph carries the sums as
 directed block weights, and its Laplacian satisfies the exact lift identity
 L P = P L_q certified by verify_lift. The EP test, the refinement and the
 quotient read every block sum from one ``graphs.cell_sums`` table (one pass over
@@ -135,23 +138,15 @@ def _violations(pi: Partition, sums, d: int, include_same_cell: bool = True):
                     yield EPViolation(ci, r, s, cj, sum_r, sum_s)
 
 
-def verify_equitable(
-    g: MatrixWeightedGraph,
-    pi: Partition,
-    include_same_cell: bool = True,
-    direction: str = "out",
-) -> EPReport:
+def verify_equitable(g: MatrixWeightedGraph, pi: Partition,
+                     include_same_cell: bool = True) -> EPReport:
     """Check the equitable-partition condition, enumerating every violating tuple."""
     pi = partition_of(pi.cells, g.n)
-    violations = tuple(_violations(pi, cell_sums(g, pi.cells, direction), g.d, include_same_cell))
+    violations = tuple(_violations(pi, cell_sums(g, pi.cells), g.d, include_same_cell))
     return EPReport(not violations, violations)
 
 
-def coarsest_ep(
-    g: MatrixWeightedGraph,
-    protected=(),
-    direction: str = "out",
-) -> Partition:
+def coarsest_ep(g: MatrixWeightedGraph, protected=()) -> Partition:
     """Coarsest equitable partition keeping each protected node in a singleton cell.
 
     Each round reads every node's block sums into the current cells from one
@@ -168,7 +163,7 @@ def coarsest_ep(
         cells.append(tuple(rest))
 
     while True:
-        sums = cell_sums(g, cells, direction)
+        sums = cell_sums(g, cells)
         new_cells: list[tuple[int, ...]] = []
         for cell in cells:
             groups: dict[frozenset, list[int]] = {}

@@ -5,21 +5,17 @@ from __future__ import annotations
 import json
 
 from .graphs import Block, BlockMatrix
-from .linalg import format_fraction, fraction_to_json
 from .partitions import EPReport, Partition, QuotientGraph
 
 
-def block_to_json(blk: Block):
-    return [[fraction_to_json(x) for x in row] for row in blk]
-
-
-def matrix_to_json(bm: BlockMatrix):
-    return [[fraction_to_json(x) for x in row] for row in bm.entries]
+def block_to_json(rows: Block):
+    """Rows of Fractions (a block or a matrix's entries) as JSON ints, or "p/q" strings."""
+    return [[x.numerator if x.denominator == 1 else str(x) for x in row] for row in rows]
 
 
 def format_block_matrix(bm: BlockMatrix) -> str:
     """Grid of p/q entries with '|' between block columns and rules between block rows."""
-    cells = [[format_fraction(x) for x in row] for row in bm.entries]
+    cells = [[str(x) for x in row] for row in bm.entries]
     width = max((len(c) for row in cells for c in row), default=1)
     d = bm.d
     lines = []
@@ -35,8 +31,8 @@ def format_block_matrix(bm: BlockMatrix) -> str:
 
 def format_block(blk: Block) -> str:
     if len(blk) == 1 and len(blk[0]) == 1:
-        return format_fraction(blk[0][0])
-    return "[" + "; ".join(" ".join(format_fraction(x) for x in row) for row in blk) + "]"
+        return str(blk[0][0])
+    return "[" + "; ".join(" ".join(str(x) for x in row) for row in blk) + "]"
 
 
 def partition_to_text(pi: Partition) -> str:

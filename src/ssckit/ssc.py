@@ -186,7 +186,6 @@ def ep_constraint_system(
     pattern: WeightPattern,
     partition: Partition | None,
     include_same_cell: bool = True,
-    prepared: _PatternRows | None = None,
 ) -> EPConstraintSystem:
     """Decide feasibility of one partition (or None) and, if feasible, its solution space.
 
@@ -196,13 +195,11 @@ def ep_constraint_system(
     forced to zero when all its columns are fixed at 0. The Fraction
     ``particular`` and ``basis`` are read off the same reduced rows by
     ``linalg.solve_affine`` (the basis only for feasible partitions), so they
-    equal what Gauss-Jordan over Fraction gives. ``prepared`` is the pattern's
-    half from ``_pattern_rows``, passed by callers that test many partitions
-    of one pattern. This is the one-partition entry point; the search in
-    ``enumerate_feasible_eps`` reaches the same reduced rows cell by cell.
+    equal what Gauss-Jordan over Fraction gives. This is the one-partition
+    entry point; the search in ``enumerate_feasible_eps`` reaches the same
+    reduced rows cell by cell.
     """
-    if prepared is None:
-        prepared = _pattern_rows(pattern)
+    prepared = _pattern_rows(pattern)
     piv = prepared.reduced
     if partition is not None:
         partition = partition_of(partition.cells, pattern.n)
@@ -268,19 +265,38 @@ def resolve_mode(pattern: WeightPattern, mode: str) -> str:
     return mode
 
 
-def _support_uniform(pattern: WeightPattern, pi: Partition) -> bool:
+def _support_uniform(prepared: _PatternRows, pi: Partition) -> bool:
     # strict pruning: same-cell nodes must reach the same set of cells
-    out = {v: set() for v in range(1, pattern.n + 1)}
-    for (i, j) in pattern.edges:
-        out[i].add(j)
-        if not pattern.directed:
-            out[j].add(i)
     cell_of = {v: idx for idx, cell in enumerate(pi.cells) for v in cell}
     for cell in pi.cells:
-        supports = {frozenset(cell_of[t] for t in out[v]) for v in cell}
+        supports = {frozenset(cell_of[t] for t, _ in prepared.out[v]) for v in cell}
         if len(supports) > 1:
             return False
     return True
+
+
+def _check_pinned_signs(pattern: WeightPattern, reduced) -> None:
+    """Refuse a pattern whose own constraints pin an entry against its variable's sign.
+
+    A pivot row of the pattern's reduced rows that holds only its pivot and
+    the right-hand side fixes that column in every system, so no admissible
+    weight exists when the fixed value breaks the sign. EP rows are not read:
+    a pin they add makes one system sign-infeasible, not the pattern.
+    """
+    rhs = pattern.unknown_count
+    d = pattern.d
+    for pc, row in sorted((reduced or {}).items()):
+        if len(row) != 2 or rhs not in row:
+            continue
+        name = pattern.variable_names[pc // (d * d)]
+        value = Fraction(row[rhs], row[pc])
+        sign = pattern.sign_of(name)
+        if (sign == "+" and value < 0) or (sign == "-" and value > 0):
+            k = pc % (d * d)
+            raise ValueError(
+                f"pattern constraints admit no weight assignment: entry ({k // d},{k % d}) "
+                f"of {name} is pinned to {value} against its sign {sign!r}"
+            )
 
 
 def enumerate_feasible_eps(
@@ -298,7 +314,8 @@ def enumerate_feasible_eps(
     each returned system equals ``ep_constraint_system`` of its partition
     without every set partition being built. In strict mode a partition
     must also pass ``_support_uniform``. Raises ``EnumerationCapError`` above
-    ``cap`` followers. Sorted by (cell count, canonical cells).
+    ``cap`` followers, and ``ValueError`` when the pattern's own constraints
+    pin an entry against its sign. Sorted by (cell count, canonical cells).
     """
     if not pattern.edges:
         raise ValueError("pattern has no edges")
@@ -307,10 +324,12 @@ def enumerate_feasible_eps(
             f"{len(pattern.followers)} followers exceed the enumeration cap {cap}"
         )
     effective = resolve_mode(pattern, mode)
+    prepared = _pattern_rows(pattern)
+    _check_pinned_signs(pattern, prepared.reduced)
     out = []
-    for cells, piv in _search(pattern, _pattern_rows(pattern), include_same_cell):
+    for cells, piv in _search(pattern, prepared, include_same_cell):
         pi = Partition(tuple(cells))
-        if effective == "strict" and not _support_uniform(pattern, pi):
+        if effective == "strict" and not _support_uniform(prepared, pi):
             continue
         out.append(_solved_system(pattern, pi, piv))
     out.sort(key=lambda s: (s.partition.k, s.partition.cells))
@@ -525,7 +544,7 @@ def estimate_ssc_dimension(
 
     Each draw stays in integers: its unknowns go straight into the sparse
     rows of ``den * L`` (``graphs.laplacian_rows`` over ``_PatternRows.out``,
-    which already applies direction and the transpose convention), and
+    which already mirrors undirected edges under their symmetry convention), and
     ``krylov.controllable_dim`` reads the dimension with the system's own
     upper bound as certificate: d*k for a k-cell system (its draws satisfy every EP equation and keep
     the leaders as singletons, so im(P) is L-invariant and contains im(M))
@@ -542,7 +561,7 @@ def estimate_ssc_dimension(
     effective = resolve_mode(pattern, mode)
     minsys = systems[0]
     prepared = _pattern_rows(pattern)
-    entries = list(systems) + [ep_constraint_system(pattern, None, prepared=prepared)]
+    entries = list(systems) + [_solved_system(pattern, None, prepared.reduced)]
     nd, dd = pattern.n * pattern.d, pattern.d * pattern.d
     inputs = [[int(x) for x in col]
               for col in zip(*build_input_matrix(pattern.leaders, pattern.n, pattern.d).entries)]

@@ -8,6 +8,7 @@ a plain power loop.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -23,6 +24,7 @@ from ssckit.graphs import (
     EqualConstraint,
     FixedConstraint,
     MatrixWeightedGraph,
+    SignConstraint,
     WeightPattern,
     block_add,
     block_is_zero,
@@ -43,8 +45,6 @@ from ssckit.ssc import (
     SAMPLE_RANGE,
     WIDENED_RANGE,
     ReversalReport,
-    _pattern_rows,
-    _support_uniform,
     ep_constraint_system,
     resolve_mode,
 )
@@ -216,7 +216,7 @@ def reference_degree(g: MatrixWeightedGraph, i: int):
     return total
 
 
-def reference_cell_degree(g: MatrixWeightedGraph, i: int, cell, direction="out"):
+def reference_cell_degree(g: MatrixWeightedGraph, i: int, cell):
     """``graphs.cell_degree`` as one adjacency lookup per member of the cell."""
     if not 1 <= i <= g.n:
         raise ValueError(f"node index {i} out of range 1..{g.n}")
@@ -226,13 +226,13 @@ def reference_cell_degree(g: MatrixWeightedGraph, i: int, cell, direction="out")
             raise ValueError(f"node index {j} out of range 1..{g.n}")
     total = block_zeros(g.d)
     for j in members:
-        blk = g.adjacency.get((i, j) if direction == "out" else (j, i))
+        blk = g.adjacency.get((i, j))
         if blk is not None:
             total = block_add(total, blk)
     return total
 
 
-def reference_verify_equitable(g, pi, include_same_cell=True, direction="out") -> EPReport:
+def reference_verify_equitable(g, pi, include_same_cell=True) -> EPReport:
     """``partitions.verify_equitable`` with one ``reference_cell_degree`` per pair and cell."""
     pi = partition_of(pi.cells, g.n)
     violations = []
@@ -241,14 +241,14 @@ def reference_verify_equitable(g, pi, include_same_cell=True, direction="out") -
             for cj, target in enumerate(pi.cells, start=1):
                 if not include_same_cell and cj == ci:
                     continue
-                sum_r = reference_cell_degree(g, r, target, direction)
-                sum_s = reference_cell_degree(g, s, target, direction)
+                sum_r = reference_cell_degree(g, r, target)
+                sum_s = reference_cell_degree(g, s, target)
                 if sum_r != sum_s:
                     violations.append(EPViolation(ci, r, s, cj, sum_r, sum_s))
     return EPReport(not violations, tuple(violations))
 
 
-def reference_coarsest_ep(g, protected=(), direction="out") -> Partition:
+def reference_coarsest_ep(g, protected=()) -> Partition:
     """``partitions.coarsest_ep`` splitting on zero-filled per-cell signature tuples."""
     protected = sorted(set(int(v) for v in protected))
     for v in protected:
@@ -267,7 +267,7 @@ def reference_coarsest_ep(g, protected=(), direction="out") -> Partition:
                 continue
             groups = {}
             for v in cell:
-                sig = tuple(reference_cell_degree(g, v, other, direction) for other in cells)
+                sig = tuple(reference_cell_degree(g, v, other) for other in cells)
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
@@ -502,24 +502,61 @@ def leader_singleton_partitions(pattern: WeightPattern):
         yield Partition(tuple([(l,) for l in pattern.leaders] + [tuple(c) for c in fcells]))
 
 
+def reference_support_uniform(pattern: WeightPattern, pi: Partition) -> bool:
+    """``ssc._support_uniform`` with the neighbours read off ``pattern.edges``."""
+    nbrs = {v: set() for v in range(1, pattern.n + 1)}
+    for (i, j) in pattern.edges:
+        nbrs[i].add(j)
+        if not pattern.directed:
+            nbrs[j].add(i)
+    cell_of = {v: idx for idx, cell in enumerate(pi.cells) for v in cell}
+    return all(len({frozenset(cell_of[t] for t in nbrs[v]) for v in cell}) == 1
+               for cell in pi.cells)
+
+
 def exhaustive_feasible_eps(pattern: WeightPattern, mode="cancellative", include_same_cell=True):
     """``ssc.enumerate_feasible_eps`` without pruning: one EP system per set partition.
 
     Reference for the cell-by-cell search: every leader-singleton partition
     goes through ``ep_constraint_system`` on its own (no cap, Bell-number
-    many), and the feasible systems are sorted the same way.
+    many), and the feasible systems are sorted the same way. Strict mode
+    uses ``reference_support_uniform``.
     """
     effective = resolve_mode(pattern, mode)
-    prepared = _pattern_rows(pattern)
     out = []
     for pi in leader_singleton_partitions(pattern):
-        if effective == "strict" and not _support_uniform(pattern, pi):
+        if effective == "strict" and not reference_support_uniform(pattern, pi):
             continue
-        system = ep_constraint_system(pattern, pi, include_same_cell, prepared)
+        system = ep_constraint_system(pattern, pi, include_same_cell)
         if system.feasible:
             out.append(system)
     out.sort(key=lambda s: (s.partition.k, s.partition.cells))
     return out
+
+
+def pinned_sign_conflicts(pattern: WeightPattern) -> list[str]:
+    """Variables one of whose entries the pattern's own constraints fix against its sign.
+
+    Read off ``dense_ep_system`` of the unconstrained system: a column that
+    no basis vector moves is fixed at its particular value in every system.
+    Empty when the constraints are inconsistent.
+    """
+    particular, basis, _, _ = dense_ep_system(pattern, None)
+    dd = pattern.d * pattern.d
+    out = []
+    for idx, name in enumerate(pattern.variable_names if particular is not None else ()):
+        sign = pattern.sign_of(name)
+        pinned = [particular[c] for c in range(idx * dd, (idx + 1) * dd)
+                  if all(v[c] == 0 for v in basis)]
+        if any((sign == "+" and x < 0) or (sign == "-" and x > 0) for x in pinned):
+            out.append(name)
+    return out
+
+
+def without_signs(pattern: WeightPattern) -> WeightPattern:
+    """The pattern with its sign constraints dropped; every linear constraint stays."""
+    kept = tuple(c for c in pattern.constraints if not isinstance(c, SignConstraint))
+    return dataclasses.replace(pattern, constraints=kept)
 
 
 def oracle_feasible_partitions(pattern: WeightPattern, include_same_cell=True):

@@ -233,6 +233,34 @@ def test_bound_sampling_failure_exit5(tmp_path, capsys):
     assert code == 5 and "internal error" in err
 
 
+@pytest.mark.parametrize("d, constraints, message", [
+    # the fixed value breaks the sign of its own variable
+    (1, [{"kind": "fixed", "args": ["a", [[-1]]]}, {"kind": "sign", "args": ["a", "+"]}],
+     "entry (0,0) of a is pinned to -1 against its sign '+'"),
+    # the same pin reaches b through equal a b
+    (1, [{"kind": "fixed", "args": ["a", [[-1]]]}, {"kind": "equal", "args": ["a", "b"]},
+         {"kind": "sign", "args": ["b", "+"]}],
+     "entry (0,0) of b is pinned to -1 against its sign '+'"),
+    # one entry of a d = 2 block, pinned through equal as well
+    (2, [{"kind": "fixed", "args": ["a", [[0, 0], ["1/2", 0]]]},
+         {"kind": "equal", "args": ["b", "a"]}, {"kind": "sign", "args": ["b", "-"]}],
+     "entry (1,0) of b is pinned to 1/2 against its sign '-'"),
+])
+def test_bound_pinned_sign_conflict_exit3(tmp_path, capsys, d, constraints, message):
+    doc = {
+        "n": 3, "d": d, "leaders": [1],
+        "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3}],
+        "variables": [{"edge": [1, 2], "name": "a"}, {"edge": [2, 3], "name": "b"}],
+        "constraints": constraints,
+    }
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "bound", "--input", str(path), "--format", fmt)
+        assert code == 3 and out == ""
+        assert err == f"ssckit: pattern constraints admit no weight assignment: {message}\n"
+
+
 def test_bound_nine_follower_cycle(tmp_path, capsys):
     # 21147 candidate partitions of the followers; only the mirror pairing
     # around the leader, {2,10} {3,9} {4,8} {5,7} {6}, leaves every edge free

@@ -6,12 +6,14 @@ candidate is compared with the dense ``solve_affine`` route in
 ``helpers.dense_ep_system``. The pruned cell-by-cell search of
 ``enumerate_feasible_eps`` is compared with the unpruned per-partition loop
 ``helpers.exhaustive_feasible_eps``, and its feasible set with the all-pairs
-sympy oracle.
+sympy oracle. ``_PatternRows.out``, the one edge table the EP rows, the strict
+support test and the draws read, is compared with ``WeightPattern.entry_column``.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +22,20 @@ from helpers import (
     exhaustive_feasible_eps,
     leader_singleton_partitions,
     oracle_feasible_partitions,
+    pinned_sign_conflicts,
+    reference_support_uniform,
+    without_signs,
 )
 from ssckit import linalg
 from ssckit.graphs import EqualConstraint, FixedConstraint, SignConstraint, WeightPattern
 from ssckit.partitions import Partition
-from ssckit.ssc import enumerate_feasible_eps, ep_constraint_system, resolve_mode
+from ssckit.ssc import (
+    _pattern_rows,
+    _support_uniform,
+    enumerate_feasible_eps,
+    ep_constraint_system,
+    resolve_mode,
+)
 
 
 @st.composite
@@ -95,6 +106,9 @@ def test_every_candidate_matches_dense_solve(pattern, include_same_cell):
 @given(patterns(max_followers=6), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_feasible_set_matches_oracle(pattern, include_same_cell):
+    if pinned_sign_conflicts(pattern):
+        # such a pattern is refused outright; feasibility ignores signs
+        pattern = without_signs(pattern)
     found = {
         s.partition.cells
         for s in enumerate_feasible_eps(pattern, include_same_cell=include_same_cell)
@@ -109,8 +123,49 @@ def summary(systems):
 @given(patterns(max_followers=6), st.booleans(), st.sampled_from(["cancellative", "strict"]))
 @settings(max_examples=150, deadline=None)
 def test_pruned_search_matches_exhaustive_reference(pattern, include_same_cell, mode):
+    if pinned_sign_conflicts(pattern):
+        # constraints that pin an entry against its sign admit no weight
+        with pytest.raises(ValueError, match="admit no weight assignment: .* pinned"):
+            enumerate_feasible_eps(pattern, mode, include_same_cell=include_same_cell)
+        pattern = without_signs(pattern)
     found = enumerate_feasible_eps(pattern, mode, include_same_cell=include_same_cell)
     assert summary(found) == summary(exhaustive_feasible_eps(pattern, mode, include_same_cell))
+
+
+def assert_edge_table_matches_entry_column(pattern):
+    d = pattern.d
+    out = _pattern_rows(pattern).out
+    for i in range(1, pattern.n + 1):
+        cols = dict(out[i])
+        assert len(cols) == len(out[i])  # one entry per neighbour
+        for j in range(1, pattern.n + 1):
+            for p, q in itertools.product(range(d), repeat=2):
+                got = cols[j][p * d + q] if j in cols else None
+                assert got == pattern.entry_column(i, j, p, q)
+
+
+@given(patterns())
+@settings(max_examples=100, deadline=None)
+def test_edge_table_matches_entry_column(pattern):
+    assert_edge_table_matches_entry_column(pattern)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["directed", "entrywise", "transpose"])
+def test_edge_table_covers_every_kind(kind, d):
+    # one drawn pattern per orientation convention and block size, so none
+    # of them is left to chance
+    symmetry = "none" if kind == "directed" else kind
+    pattern = find(patterns(), lambda p: p.d == d and p.symmetry == symmetry and len(p.edges) >= 3)
+    assert_edge_table_matches_entry_column(pattern)
+
+
+@given(patterns())
+@settings(max_examples=60, deadline=None)
+def test_support_test_matches_edge_list_reference(pattern):
+    prepared = _pattern_rows(pattern)
+    for pi in leader_singleton_partitions(pattern):
+        assert _support_uniform(prepared, pi) == reference_support_uniform(pattern, pi)
 
 
 def test_patterns_reach_strict_mode():

@@ -43,13 +43,6 @@ def test_as_fraction_forms():
         linalg.as_fraction("abc")
 
 
-def test_format_fraction():
-    assert linalg.format_fraction(Fraction(3)) == "3"
-    assert linalg.format_fraction(Fraction(-3, 4)) == "-3/4"
-    assert linalg.fraction_to_json(Fraction(2)) == 2
-    assert linalg.fraction_to_json(Fraction(1, 2)) == "1/2"
-
-
 def test_rank_matches_sympy_on_random_matrices():
     rng = random.Random(12)
     shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_coarsest,
-    hstack,
     random_ep_lift,
     random_graph,
     reference_cell_degree,
@@ -157,28 +156,6 @@ def test_verify_equitable_same_cell_flag(path3):
     assert not full.verdict
     assert loose.verdict
     assert all(v.cell == v.target_cell for v in full.violations)
-
-
-def test_verify_equitable_direction_flag():
-    # unequal out-weights into {3} but no in-edges at 1 and 2 at all
-    g = scalar_graph(3, {(1, 3): 1, (2, 3): 2}, directed=True)
-    pi = Partition(((1, 2), (3,)))
-    assert not verify_equitable(g, pi, direction="out").verdict
-    assert verify_equitable(g, pi, direction="in").verdict
-
-
-def test_in_direction_ep_need_not_be_transpose_invariant():
-    # "in" is the EP test of the reversed adjacency, not of L^T: the diagonal of
-    # L^T is the out-degree, so an in-sum EP can fail L^T P = P Q
-    g = scalar_graph(3, {(1, 2): 1, (1, 3): 1, (2, 1): 5}, leaders=(1,), directed=True)
-    pi = coarsest_ep(g, [1], direction="in")
-    assert pi == Partition(((1,), (2, 3)))
-    assert verify_equitable(g, pi, direction="in").verdict
-    P = characteristic_matrix(pi, 3, 1)
-    LtP = (build_laplacian(g).transpose() @ P).to_lists()
-    assert LtP == [[2, -5], [-1, 5], [-1, 0]]
-    # rows 2 and 3 share a cell but differ, so L^T P is not P Q for any Q
-    assert linalg.rank(hstack(P.to_lists(), LtP)) > linalg.rank(P.to_lists())
 
 
 def test_verify_equitable_non_partition():
@@ -406,24 +383,22 @@ def partitioned_graphs(draw):
     return g, Partition(tuple(tuple(c) for c in cells.values()))
 
 
-@given(partitioned_graphs(), st.sampled_from(("out", "in")))
+@given(partitioned_graphs())
 @settings(max_examples=200, deadline=None)
-def test_cell_sums_readers_match_per_pair_references(case, direction):
+def test_cell_sums_readers_match_per_pair_references(case):
     g, pi = case
-    sums = cell_sums(g, pi.cells, direction)
+    sums = cell_sums(g, pi.cells)
     for v in range(1, g.n + 1):
         assert degree(g, v) == reference_degree(g, v)
         for idx, cell in enumerate(pi.cells):
-            want = reference_cell_degree(g, v, cell, direction)
-            assert cell_degree(g, v, cell, direction) == want
-            edge = any(((v, w) if direction == "out" else (w, v)) in g.adjacency for w in cell)
+            want = reference_cell_degree(g, v, cell)
+            assert cell_degree(g, v, cell) == want
+            edge = any((v, w) in g.adjacency for w in cell)
             assert sums.get(v, {}).get(idx) == (want if edge else None)
     for same in (True, False):
-        assert (verify_equitable(g, pi, same, direction)
-                == reference_verify_equitable(g, pi, same, direction))
+        assert verify_equitable(g, pi, same) == reference_verify_equitable(g, pi, same)
     for protected in ((), g.leaders, pi.cells[-1]):
-        assert (coarsest_ep(g, protected, direction)
-                == reference_coarsest_ep(g, protected, direction))
+        assert coarsest_ep(g, protected) == reference_coarsest_ep(g, protected)
     for p in (pi, coarsest_ep(g, g.leaders)):
         try:
             want = reference_quotient(g, p)
@@ -433,13 +408,3 @@ def test_cell_sums_readers_match_per_pair_references(case, direction):
         else:
             got = quotient(g, p)
             assert got == want and list(got.adjacency) == list(want.adjacency)
-
-
-def test_unknown_direction_raises(diamond):
-    pi = Partition(((1,), (2, 3), (4,)))
-    for call in (lambda: cell_sums(diamond, pi.cells, "both"),
-                 lambda: cell_degree(diamond, 1, {2}, "OUT"),
-                 lambda: verify_equitable(diamond, pi, direction="reverse"),
-                 lambda: coarsest_ep(diamond, (1,), direction="")):
-        with pytest.raises(ValueError, match="direction"):
-            call()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from ssckit.graphs import BlockMatrix
 from ssckit.partitions import Partition
-from ssckit.render import format_block, format_block_matrix, partition_to_text
+from ssckit.render import block_to_json, format_block, format_block_matrix, partition_to_text
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -27,8 +27,16 @@ def test_format_block_matrix_separates_block_rows():
 
 def test_format_block_and_partition():
     assert format_block(((Fraction(3, 4),),)) == "3/4"
+    assert format_block(((Fraction(3),),)) == "3"
+    assert format_block(((Fraction(-3, 4),),)) == "-3/4"
     assert format_block(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))) == "[1 0; 0 1]"
     assert partition_to_text(Partition(((1,), (2, 3)))) == "{{1}, {2, 3}}"
+    # JSON: an integer is an int, anything else "p/q", for a block or a matrix's entries
+    assert block_to_json(((Fraction(2), Fraction(1, 2)), (Fraction(-3, 4), Fraction(0)))) == [
+        [2, "1/2"], ["-3/4", 0]]
+    bm = BlockMatrix.from_rows([[Fraction(-1, 2), 3]], 1, 2, 1)
+    assert format_block_matrix(bm) == "[ -1/2 |    3 ]"
+    assert block_to_json(bm.entries) == [["-1/2", 3]]
 
 
 def test_module_entry_point():
