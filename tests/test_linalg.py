@@ -15,6 +15,7 @@ from helpers import (
     sympy_rank,
 )
 from ssckit import linalg
+from ssckit.render import block_to_json, format_block
 
 
 fractions_st = st.fractions(
@@ -41,6 +42,16 @@ def test_as_fraction_forms():
         linalg.as_fraction(True)
     with pytest.raises(ValueError):
         linalg.as_fraction("abc")
+
+
+def test_format_fraction():
+    # A scalar renders as "p/q" text and as a JSON int or "p/q" string, and both read back
+    assert format_block(((Fraction(3),),)) == "3"
+    assert format_block(((Fraction(-3, 4),),)) == "-3/4"
+    assert block_to_json(((Fraction(2), Fraction(1, 2)),)) == [[2, "1/2"]]
+    for x in (Fraction(3), Fraction(-3, 4), Fraction(0), Fraction(7, 6)):
+        assert linalg.as_fraction(format_block(((x,),))) == x
+        assert linalg.as_fraction(block_to_json(((x,),))[0][0]) == x
 
 
 def test_rank_matches_sympy_on_random_matrices():

