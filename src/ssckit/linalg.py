@@ -3,8 +3,9 @@
 Dense matrices are lists of rows of ``fractions.Fraction``. There are two
 elimination routines, both on denominator-cleared integers.
 ``integer_rref`` reduces an EP constraint system, given as ``{column: int}``
-rows, to fully reduced form (Gauss-Jordan, one ``_add_row`` per row), so
-``solve_affine`` can read the solutions off it. ``independent_vectors``
+rows, to fully reduced form (Gauss-Jordan, one ``_add_row`` per row). Weight
+draws read the integer rows as they are; ``solve_affine`` reads the Fraction
+solutions off them for library code and tests. ``independent_vectors``
 answers every rank and independence question (``rank``,
 ``independent_columns``, the Krylov span) on dense integer vectors
 (``integer_vector`` clears a Fraction vector's denominators), pivoting on
@@ -81,17 +82,12 @@ def rank(m, backend: str = "exact") -> int:
     return len(independent_vectors(map(integer_vector, m), {}, width, modulus))
 
 
-def independent_columns(m, pivots: dict[int, list[int]] | None = None) -> list[int]:
+def independent_columns(m) -> list[int]:
     """Indices of a lexicographically-first maximal independent column set of ``m``.
 
     Each column is kept iff it is independent of the columns kept before it.
-    ``pivots`` carries columns across calls: it is the pivot map of
-    ``independent_vectors`` for the columns kept by earlier calls on matrices
-    with the same row count, and it is extended in place, so a column is also
-    tested against those.
     """
-    pivots = {} if pivots is None else pivots
-    return independent_vectors(map(integer_vector, zip(*m)), pivots, len(m))
+    return independent_vectors(map(integer_vector, zip(*m)), {}, len(m))
 
 
 def independent_vectors(
@@ -143,15 +139,6 @@ def independent_vectors(
     return keep
 
 
-def particular_solution(pivots: dict[int, SparseRow], ncols: int) -> list[Fraction]:
-    """The solution of a system reduced by ``integer_rref`` whose free unknowns are 0."""
-    particular = [Fraction(0)] * ncols
-    for pc, row in pivots.items():
-        if ncols in row:
-            particular[pc] = Fraction(row[ncols], row[pc])
-    return particular
-
-
 def solve_affine(pivots: dict[int, SparseRow], ncols: int) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Solutions of a consistent system reduced by ``integer_rref``: (particular, basis).
 
@@ -161,7 +148,7 @@ def solve_affine(pivots: dict[int, SparseRow], ncols: int) -> tuple[list[Fractio
     ``basis`` (one vector per free column), exactly as Gauss-Jordan over
     Fraction gives them.
     """
-    particular = particular_solution(pivots, ncols)
+    particular = [Fraction(0)] * ncols
     free = [c for c in range(ncols) if c not in pivots]
     slot = {f: i for i, f in enumerate(free)}
     basis = [[Fraction(0)] * ncols for _ in free]
@@ -169,7 +156,9 @@ def solve_affine(pivots: dict[int, SparseRow], ncols: int) -> tuple[list[Fractio
         basis[i][f] = Fraction(1)
     for pc, row in pivots.items():
         for c, x in row.items():
-            if c != pc and c != ncols:
+            if c == ncols:
+                particular[pc] = Fraction(x, row[pc])
+            elif c != pc:
                 basis[slot[c]][pc] = Fraction(-x, row[pc])
     return particular, basis
 

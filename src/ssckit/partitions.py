@@ -125,9 +125,22 @@ class EPReport:
 
 
 def _violations(pi: Partition, sums, d: int, include_same_cell: bool = True):
-    """Each violating tuple of the cell-sum table ``sums`` of ``pi``, in report order."""
+    """Each violating tuple of the cell-sum table ``sums`` of ``pi``, in report order.
+
+    A cell whose nodes all have the nonzero sums of its first node, over the
+    targets the pairs compare, has no violating pair and is skipped; only the
+    other cells are read pair by pair, so an equitable cell costs one pass.
+    """
     zero = block_zeros(d)
     for ci, cell in enumerate(pi.cells, start=1):
+        own = None if include_same_cell else ci - 1
+
+        def compared(v):
+            return {c: blk for c, blk in sums.get(v, {}).items() if c != own and blk != zero}
+
+        first = compared(cell[0])
+        if all(compared(v) == first for v in cell[1:]):
+            continue
         for r, s in itertools.combinations(cell, 2):
             for cj in range(1, pi.k + 1):
                 if not include_same_cell and cj == ci:

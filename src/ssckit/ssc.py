@@ -58,20 +58,23 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class EPConstraintSystem:
-    """Solution space of the linear system over the pattern unknowns for one partition.
+    """The linear system over the pattern unknowns for one partition, fully reduced.
 
     ``partition=None`` means only the pattern's own constraints apply (the
-    "any admissible weight" space used for unconstrained sampling). The
-    solutions are ``particular`` plus the span of ``basis``. Infeasible
-    systems carry an empty ``basis``; nothing samples them.
+    "any admissible weight" space used for unconstrained sampling). ``rows``
+    is the ``linalg.integer_rref`` pivot map of the system, None if it is
+    inconsistent; ``linalg.solve_affine(rows, pattern.unknown_count)`` reads
+    its Fraction solution space off it, and the draws read it directly.
     """
 
     pattern: WeightPattern
     partition: Partition | None
-    particular: tuple[Fraction, ...] | None   # None iff the system is inconsistent
-    basis: tuple[tuple[Fraction, ...], ...]
-    feasible: bool
+    rows: dict[int, dict[int, int]] | None
     forced_zero: tuple[tuple[int, int], ...]  # edges whose block vanishes on the space
+
+    @property
+    def feasible(self) -> bool:
+        return self.rows is not None and not self.forced_zero
 
     @property
     def k(self) -> int | None:
@@ -167,37 +170,20 @@ def _forced_zero(pattern: WeightPattern, piv: dict[int, dict[int, int]]) -> tupl
     )
 
 
-def _solved_system(pattern: WeightPattern, partition: Partition | None, piv) -> EPConstraintSystem:
-    """The system of the reduced rows ``piv`` (None if inconsistent), solved if feasible."""
-    if piv is None:
-        return EPConstraintSystem(pattern, partition, None, (), False, tuple(pattern.edges))
-    cols = pattern.unknown_count
-    forced = _forced_zero(pattern, piv)
-    if forced:
-        particular = linalg.particular_solution(piv, cols)
-        return EPConstraintSystem(pattern, partition, tuple(particular), (), False, forced)
-    particular, basis = linalg.solve_affine(piv, cols)
-    return EPConstraintSystem(
-        pattern, partition, tuple(particular), tuple(tuple(v) for v in basis), True, ()
-    )
-
-
 def ep_constraint_system(
     pattern: WeightPattern,
     partition: Partition | None,
     include_same_cell: bool = True,
 ) -> EPConstraintSystem:
-    """Decide feasibility of one partition (or None) and, if feasible, its solution space.
+    """The reduced system of one partition (or None), and the edges it forces to zero.
 
     Feasibility is decided by exact sparse integer elimination of the EP rows
     together with the pattern rows (``linalg.integer_rref``); a column is fixed
     on the solution set when its pivot row has no other unknown, and an edge is
-    forced to zero when all its columns are fixed at 0. The Fraction
-    ``particular`` and ``basis`` are read off the same reduced rows by
-    ``linalg.solve_affine`` (the basis only for feasible partitions), so they
-    equal what Gauss-Jordan over Fraction gives. This is the one-partition
-    entry point; the search in ``enumerate_feasible_eps`` reaches the same
-    reduced rows cell by cell.
+    forced to zero when all its columns are fixed at 0. The reduced rows are
+    unique (each fully reduced and divided by its content), so this
+    one-partition entry point and the search in ``enumerate_feasible_eps``,
+    which reaches the same rows cell by cell, give equal systems.
     """
     prepared = _pattern_rows(pattern)
     piv = prepared.reduced
@@ -207,7 +193,8 @@ def ep_constraint_system(
             cell_of = {v: idx for idx, cell in enumerate(partition.cells) for v in cell}
             rows = _ep_rows(prepared, partition.cells, cell_of, include_same_cell)
             piv = linalg.integer_rref(rows, pattern.unknown_count, piv)
-    return _solved_system(pattern, partition, piv)
+    forced = tuple(pattern.edges) if piv is None else _forced_zero(pattern, piv)
+    return EPConstraintSystem(pattern, partition, piv, forced)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +318,8 @@ def enumerate_feasible_eps(
         pi = Partition(tuple(cells))
         if effective == "strict" and not _support_uniform(prepared, pi):
             continue
-        out.append(_solved_system(pattern, pi, piv))
+        # the search prunes every child that forces an edge to zero
+        out.append(EPConstraintSystem(pattern, pi, piv, ()))
     out.sort(key=lambda s: (s.partition.k, s.partition.cells))
     return out
 
@@ -378,8 +366,9 @@ def _entries_ok(entries, sign: str | None) -> bool:
 def sample_weights(system, seed=0) -> MatrixWeightedGraph:
     """Draw one concrete weight assignment from a system's solution space.
 
-    Coefficients for the solution-space basis are integers from a small range;
-    draws that zero an edge block or break a sign constraint are rejected and
+    Each free unknown of the reduced rows is an integer from a small range,
+    drawn in column order, and each row then fixes its pivot unknown; draws
+    that zero an edge block or break a sign constraint are rejected and
     redrawn, widening the range once before giving up. Deterministic per
     (system, seed).
     """
@@ -390,44 +379,48 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
 
 
 def _integer_form(system: EPConstraintSystem):
-    """``(den, particular, basis, signs)``: the solution space over one common denominator.
+    """``(den, free, rows, signs)``: the solution space over one common denominator.
 
-    ``particular`` holds integers and each basis vector its nonzero
-    ``(column, integer)`` entries, all scaled by ``den``; ``signs`` is each
-    variable's sign constraint. Built once per system, so every draw is
-    combined and tested in integers (``den`` is positive, so zero and sign
-    tests carry over).
+    ``den`` is the lcm of the pivots. Each reduced row is divided by its
+    content and has a positive pivot, so ``den`` is the least common
+    denominator of the Fraction solutions ``linalg.solve_affine`` reads off
+    the rows. ``free`` lists the free columns in ascending order, and
+    ``rows`` holds per pivot column ``(pivot column, pivot, den * rhs, other
+    (column, entry) pairs)``; ``signs`` is each variable's sign constraint.
+    Built once per system, so every draw is combined and tested in integers
+    (``den`` is positive, so zero and sign tests carry over).
     """
-    if not system.feasible or system.particular is None:
+    if not system.feasible:
         raise SamplingError(
             f"system is infeasible (forced-zero edges: {list(system.forced_zero)})"
         )
     pattern = system.pattern
-    den = math.lcm(*(x.denominator for x in system.particular),
-                   *(x.denominator for vec in system.basis for x in vec))
-    particular = [x.numerator * (den // x.denominator) for x in system.particular]
-    basis = [[(c, x.numerator * (den // x.denominator)) for c, x in enumerate(vec) if x]
-             for vec in system.basis]
+    rhs = pattern.unknown_count
+    den = math.lcm(*(row[pc] for pc, row in system.rows.items()))
+    free = [c for c in range(rhs) if c not in system.rows]
+    rows = [(pc, row[pc], den * row.get(rhs, 0),
+             [(c, x) for c, x in row.items() if c != pc and c != rhs])
+            for pc, row in system.rows.items()]
     signs = [pattern.sign_of(name) for name in pattern.variable_names]
-    return den, particular, basis, signs
+    return den, free, rows, signs
 
 
 def _draw(pattern: WeightPattern, key: str, form, seed) -> list[int]:
     # the unknowns of sample_weights's draw for the system with this key(),
     # scaled by the _integer_form's den
-    den, particular, basis, signs = form
+    den, free, rows, signs = form
     dd = pattern.d * pattern.d
     rng = random.Random(f"{key}|{seed}")
     budgets = [(SAMPLE_RANGE, REJECTION_BUDGET), (WIDENED_RANGE, REJECTION_BUDGET)]
     offender = None
     for spread, budget in budgets:
         for _ in range(budget):
-            coeffs = [rng.randint(-spread, spread) for _ in basis]
-            vec = list(particular)
-            for c, bvec in zip(coeffs, basis):
-                if c:
-                    for col, y in bvec:
-                        vec[col] += c * y
+            vec = [0] * pattern.unknown_count
+            for c in free:
+                vec[c] = den * rng.randint(-spread, spread)
+            for pc, pivot, b, terms in rows:
+                # exact: the pivot divides den
+                vec[pc] = (b - sum(x * vec[c] for c, x in terms)) // pivot
             bad = next((idx for idx, sign in enumerate(signs)
                         if not _entries_ok(vec[idx * dd:(idx + 1) * dd], sign)), None)
             if bad is None:
@@ -561,7 +554,9 @@ def estimate_ssc_dimension(
     effective = resolve_mode(pattern, mode)
     minsys = systems[0]
     prepared = _pattern_rows(pattern)
-    entries = list(systems) + [_solved_system(pattern, None, prepared.reduced)]
+    # the search found a system, so the pattern's own rows are consistent and
+    # force no edge to zero
+    entries = list(systems) + [EPConstraintSystem(pattern, None, prepared.reduced, ())]
     nd, dd = pattern.n * pattern.d, pattern.d * pattern.d
     inputs = [[int(x) for x in col]
               for col in zip(*build_input_matrix(pattern.leaders, pattern.n, pattern.d).entries)]

@@ -19,6 +19,7 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.utilities.iterables import multiset_partitions
 
+from ssckit import linalg
 from ssckit.graphs import (
     BlockMatrix,
     EqualConstraint,
@@ -305,16 +306,18 @@ def fraction_sample_weights(system, seed):
     """``ssc.sample_weights`` in plain Fraction arithmetic, dense vectors throughout.
 
     The same seeded draw sequence (one ``randint`` per basis vector, the small
-    range and then the widened one, each with its rejection budget); returns
-    None where ``sample_weights`` raises ``SamplingError``.
+    range and then the widened one, each with its rejection budget) over the
+    Fraction solution space ``linalg.solve_affine`` reads off the system's
+    rows; returns None where ``sample_weights`` raises ``SamplingError``.
     """
     pattern, d = system.pattern, system.pattern.d
+    particular, basis = linalg.solve_affine(system.rows, pattern.unknown_count)
     rng = random.Random(f"{system.key()}|{seed}")
     for spread in (SAMPLE_RANGE, WIDENED_RANGE):
         for _ in range(REJECTION_BUDGET):
-            coeffs = [Fraction(rng.randint(-spread, spread)) for _ in system.basis]
-            vec = list(system.particular)
-            for c, bvec in zip(coeffs, system.basis):
+            coeffs = [Fraction(rng.randint(-spread, spread)) for _ in basis]
+            vec = list(particular)
+            for c, bvec in zip(coeffs, basis):
                 if c:
                     vec = [x + c * y for x, y in zip(vec, bvec)]
             blocks = {

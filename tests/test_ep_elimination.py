@@ -8,9 +8,13 @@ candidate is compared with the dense ``solve_affine`` route in
 ``helpers.exhaustive_feasible_eps``, and its feasible set with the all-pairs
 sympy oracle. ``_PatternRows.out``, the one edge table the EP rows, the strict
 support test and the draws read, is compared with ``WeightPattern.entry_column``.
+The integer draws of ``sample_weights``, read straight off a system's reduced
+rows, are compared with ``helpers.fraction_sample_weights`` over the Fraction
+solution space ``linalg.solve_affine`` reads off the same rows.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from helpers import (
     dense_ep_system,
     exhaustive_feasible_eps,
+    fraction_sample_weights,
     leader_singleton_partitions,
     oracle_feasible_partitions,
     pinned_sign_conflicts,
@@ -30,11 +35,14 @@ from ssckit import linalg
 from ssckit.graphs import EqualConstraint, FixedConstraint, SignConstraint, WeightPattern
 from ssckit.partitions import Partition
 from ssckit.ssc import (
+    SamplingError,
+    _integer_form,
     _pattern_rows,
     _support_uniform,
     enumerate_feasible_eps,
     ep_constraint_system,
     resolve_mode,
+    sample_weights,
 )
 
 
@@ -87,12 +95,9 @@ def assert_same_as_dense(pattern, partition, include_same_cell):
     )
     assert system.feasible == feasible
     assert system.forced_zero == forced
-    assert (system.particular is None) == (particular is None)
-    if feasible:
-        assert system.particular == tuple(particular)
-        assert system.basis == tuple(tuple(v) for v in basis)
-    else:
-        assert system.basis == ()
+    assert (system.rows is None) == (particular is None)
+    if system.rows is not None:
+        assert linalg.solve_affine(system.rows, pattern.unknown_count) == (particular, basis)
     return system
 
 
@@ -117,7 +122,8 @@ def test_feasible_set_matches_oracle(pattern, include_same_cell):
 
 
 def summary(systems):
-    return [(s.partition, s.particular, s.basis, s.forced_zero, s.feasible) for s in systems]
+    return [(s.partition, linalg.solve_affine(s.rows, s.pattern.unknown_count),
+             s.forced_zero, s.feasible) for s in systems]
 
 
 @given(patterns(max_followers=6), st.booleans(), st.sampled_from(["cancellative", "strict"]))
@@ -168,6 +174,56 @@ def test_support_test_matches_edge_list_reference(pattern):
         assert _support_uniform(prepared, pi) == reference_support_uniform(pattern, pi)
 
 
+def sampled_systems(pattern):
+    """The systems ``bound`` samples: every feasible EP system and the unconstrained one."""
+    if pinned_sign_conflicts(pattern):
+        pattern = without_signs(pattern)  # refused outright otherwise
+    free = ep_constraint_system(pattern, None)
+    return enumerate_feasible_eps(pattern) + ([free] if free.feasible else [])
+
+
+def assert_draws_match_fraction_reference(pattern, seeds=range(3)):
+    for system in sampled_systems(pattern):
+        particular, basis = linalg.solve_affine(system.rows, system.pattern.unknown_count)
+        den = math.lcm(*(x.denominator for x in particular),
+                       *(x.denominator for vec in basis for x in vec))
+        assert _integer_form(system)[0] == den
+        for seed in seeds:
+            try:
+                got = sample_weights(system, seed)
+            except SamplingError:
+                got = None
+            assert got == fraction_sample_weights(system, seed)
+
+
+@given(patterns())
+@settings(max_examples=60, deadline=None)
+def test_draws_match_fraction_reference(pattern):
+    assert_draws_match_fraction_reference(pattern)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["directed", "entrywise", "transpose"])
+def test_draws_match_fraction_reference_for_every_kind(kind, d):
+    # every orientation and block size with equal, fixed and sign constraints;
+    # the fixed values over 2 and 3 put every system's denominator above 1
+    third = Fraction(1, 3)
+    value = tuple(tuple(Fraction(p - q + 1, 2) if p == q else third * (p - q)
+                        for q in range(d)) for p in range(d))
+    constraints = [EqualConstraint("w2_4", "w3_4"), FixedConstraint("w4_5", value),
+                   SignConstraint("w1_2", "+")]
+    if d == 1:  # two signed 2 x 2 blocks are rarely drawn within the rejection budget
+        constraints.append(SignConstraint("w1_3", "-"))
+    directed = kind == "directed"
+    pattern = WeightPattern.create(
+        5, d, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (2, 5)], [1],
+        directed=directed, symmetry=None if directed else kind, constraints=constraints,
+    )
+    systems = sampled_systems(pattern)
+    assert len(systems) > 1 and all(_integer_form(s)[0] > 1 for s in systems)
+    assert_draws_match_fraction_reference(pattern, seeds=range(10))
+
+
 def test_patterns_reach_strict_mode():
     find(patterns(), lambda p: resolve_mode(p, "strict") == "strict")
 
@@ -177,9 +233,10 @@ def test_transpose_symmetry_ties_mirrored_entries():
     # into cell {2} tie a12 to the transpose of a23
     p = WeightPattern.create(3, 2, [(1, 2), (2, 3)], [2], symmetry="transpose")
     system = assert_same_as_dense(p, Partition(((1, 3), (2,))), True)
-    assert system.feasible and len(system.basis) == 4
-    for vec in (system.particular,) + system.basis:
-        assert vec[0:4] == (vec[4], vec[6], vec[5], vec[7])
+    particular, basis = linalg.solve_affine(system.rows, p.unknown_count)
+    assert system.feasible and len(basis) == 4
+    for vec in [particular] + basis:
+        assert vec[0:4] == [vec[4], vec[6], vec[5], vec[7]]
 
 
 def test_inconsistent_pattern_rows_mark_every_edge():
@@ -192,7 +249,7 @@ def test_inconsistent_pattern_rows_mark_every_edge():
         ],
     )
     system = assert_same_as_dense(p, Partition(((1,), (2,), (3,))), True)
-    assert system.particular is None and system.forced_zero == p.edges
+    assert system.rows is None and system.forced_zero == p.edges
 
 
 def test_integer_rref_leaves_its_seed_untouched():

@@ -108,8 +108,9 @@ def test_independent_columns():
     assert linalg.independent_columns(m) == [0, 2]
 
 
-def test_independent_columns_carry_pivots_across_calls():
-    # splitting the columns over two calls with one pivot map keeps the same columns
+def test_independent_vectors_carry_pivots_across_calls():
+    # splitting the columns over two calls with one pivot map keeps the same
+    # columns as independent_columns in one call
     rng = random.Random(5)
     for _ in range(40):
         nr, nc = rng.randint(1, 6), rng.randint(2, 9)
@@ -119,8 +120,9 @@ def test_independent_columns_carry_pivots_across_calls():
                 row[-1] = row[0] - Fraction(1, 2) * row[1]
         split = rng.randint(1, nc - 1)
         pivots = {}
-        first = linalg.independent_columns([row[:split] for row in m], pivots)
-        second = linalg.independent_columns([row[split:] for row in m], pivots)
+        cols = [linalg.integer_vector(col) for col in zip(*m)]
+        first = linalg.independent_vectors(cols[:split], pivots, nr)
+        second = linalg.independent_vectors(cols[split:], pivots, nr)
         assert first + [split + j for j in second] == linalg.independent_columns(m)
         assert len(pivots) == linalg.rank(m) == len(first) + len(second)
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_coarsest,
+    rand_block,
     random_ep_lift,
     random_graph,
     reference_cell_degree,
@@ -162,6 +164,44 @@ def test_verify_equitable_non_partition():
     g = diamond_ab(1, 1)
     with pytest.raises(InvalidPartitionError):
         verify_equitable(g, Partition(((1, 2), (3,))))
+
+
+def test_quotient_of_a_large_cell_is_not_quadratic():
+    # 999 leaves in one cell: a per-pair test compares half a million pairs
+    n = 1000
+    g = scalar_graph(n, {(1, i): 1 for i in range(2, n + 1)})
+    pi = Partition(((1,), tuple(range(2, n + 1))))
+    start = time.perf_counter()
+    q = quotient(g, pi)
+    assert time.perf_counter() - start < 0.5
+    assert q.adjacency == {(1, 2): ((Fraction(n - 1),),), (2, 1): ((Fraction(1),),)}
+
+
+def test_verify_equitable_matches_reference_on_large_cells():
+    # planted EPs with cells of up to 16 nodes, then a few nodes lose an edge,
+    # gain one, or gain two into one cell that cancel into a zero block sum
+    rng = random.Random(11)
+    for _ in range(30):
+        g, pi, _ = random_ep_lift(rng, max_cells=3, max_cell_size=16, d_choices=(1, 2))
+        edges = dict(g.adjacency)
+        for _ in range(rng.randint(0, 3)):
+            v = rng.randint(1, g.n)
+            cell = rng.choice(pi.cells)
+            change = rng.choice(("drop", "add", "cancel"))
+            if change == "drop" and edges:
+                del edges[rng.choice(sorted(edges))]
+            elif change == "add" and v not in cell:
+                edges[(v, rng.choice(cell))] = rand_block(rng, g.d)
+            elif change == "cancel" and v not in cell and len(cell) > 1:
+                w, u = rng.sample(cell, 2)
+                if (v, w) in edges or (v, u) in edges:
+                    continue
+                blk = rand_block(rng, g.d)
+                edges[(v, w)] = blk
+                edges[(v, u)] = tuple(tuple(-x for x in row) for row in blk)
+        h = MatrixWeightedGraph.create(g.n, g.d, edges, [1], directed=True)
+        for same in (True, False):
+            assert verify_equitable(h, pi, same) == reference_verify_equitable(h, pi, same)
 
 
 # ---------------------------------------------------------------------------

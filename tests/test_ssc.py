@@ -57,10 +57,11 @@ def feasible_cells(pattern, mode="cancellative"):
 def test_diamond_min_cell_solution_space(diamond_pattern):
     system = ep_constraint_system(diamond_pattern, Partition(((1,), (2, 3), (4,))))
     assert system.feasible
+    particular, basis = linalg.solve_affine(system.rows, diamond_pattern.unknown_count)
     # solution space is exactly {a12 = a13, a24 = a34}: 2 free directions
-    assert len(system.basis) == 2
+    assert len(basis) == 2
     col = diamond_pattern.variable_column
-    for vec in [list(system.particular)] + [list(v) for v in system.basis]:
+    for vec in [particular] + basis:
         assert vec[col("a12", 0, 0)] == vec[col("a13", 0, 0)]
         assert vec[col("a24", 0, 0)] == vec[col("a34", 0, 0)]
 
@@ -68,9 +69,10 @@ def test_diamond_min_cell_solution_space(diamond_pattern):
 def test_k3_min_cell_solution_space(k3_pattern):
     system = ep_constraint_system(k3_pattern, Partition(((1,), (2, 3))))
     assert system.feasible
-    assert len(system.basis) == 2  # a12 = a13 tied, a23 free
+    _, basis = linalg.solve_affine(system.rows, k3_pattern.unknown_count)
+    assert len(basis) == 2  # a12 = a13 tied, a23 free
     col = k3_pattern.variable_column
-    for vec in system.basis:
+    for vec in basis:
         assert vec[col("a12", 0, 0)] == vec[col("a13", 0, 0)]
 
 
@@ -87,7 +89,8 @@ def test_fixed_constraint_enters_system():
     )
     system = ep_constraint_system(p, None)
     assert system.feasible
-    assert system.particular[0] == 5 and system.basis == ()
+    particular, basis = linalg.solve_affine(system.rows, p.unknown_count)
+    assert particular[0] == 5 and basis == []
 
 
 def test_inconsistent_fixed_constraints_infeasible():
@@ -102,7 +105,7 @@ def test_inconsistent_fixed_constraints_infeasible():
         ],
     )
     system = ep_constraint_system(p, None)
-    assert not system.feasible and system.particular is None
+    assert not system.feasible and system.rows is None
     assert enumerate_feasible_eps(p) == []
     with pytest.raises(ValueError):
         min_cell_ep(p)
@@ -312,7 +315,8 @@ def test_sample_fractional_constraints_match_fraction_reference():
     ]
     for p in patterns[:2]:
         systems = enumerate_feasible_eps(p) + [ep_constraint_system(p, None)]
-        assert any(x.denominator > 1 for s in systems for v in s.basis for x in v)
+        assert any(x.denominator > 1 for s in systems
+                   for v in linalg.solve_affine(s.rows, p.unknown_count)[1] for x in v)
     for p in patterns:
         for system in enumerate_feasible_eps(p) + [ep_constraint_system(p, None)]:
             for seed in range(50):
