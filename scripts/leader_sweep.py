@@ -17,14 +17,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ssckit.netio import parse_network
-from ssckit.ssc import min_cell_ep
+from ssckit.ssc import DEFAULT_ENUMERATION_CAP, min_cell_ep
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("pattern", help="path to a weight-pattern document")
-    ap.add_argument("--cap", type=int, default=12)
+    ap.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     ns = ap.parse_args()
 
     base = parse_network(Path(ns.pattern).read_text())

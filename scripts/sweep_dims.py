@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ssckit.netio import parse_network
-from ssckit.ssc import estimate_ssc_dimension
+from ssckit.ssc import DEFAULT_ENUMERATION_CAP, estimate_ssc_dimension
 
 
 def main() -> int:
@@ -27,7 +27,7 @@ def main() -> int:
     ap.add_argument("pattern", help="path to a weight-pattern document")
     ap.add_argument("--draws", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=12)
+    ap.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     ns = ap.parse_args()
 
     pattern = parse_network(Path(ns.pattern).read_text())

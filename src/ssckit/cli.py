@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from . import linalg
 from .corpus import run_corpus
 from .graphs import (
     MatrixWeightedGraph,
@@ -24,7 +22,7 @@ from .graphs import (
     integer_edges,
     laplacian_rows,
 )
-from .krylov import controllable_dim, support_bound
+from .krylov import BACKENDS, controllable_dim, support_bound
 from .krylov import controllable_subspace  # noqa: F401  (kept importable from this module)
 from .netio import ParseError, parse_network
 from .partitions import (
@@ -61,8 +59,6 @@ EXIT_BAD_ARGUMENT = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
-BACKEND_ENV_VAR = "SSCKIT_BACKEND"
-
 
 class WrongInputKind(ValueError):
     pass
@@ -87,9 +83,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--mode", choices=["strict", "cancellative"], default="cancellative")
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--seed", type=int, default=0)
-    # read per call, so a test or caller can set the variable after import
-    parser.add_argument("--backend", choices=linalg.RANK_BACKENDS,
-                        default=os.environ.get(BACKEND_ENV_VAR, "exact"))
+    parser.add_argument("--backend", choices=BACKENDS, default="exact")
     parser.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     return parser
@@ -307,9 +301,6 @@ def main(argv=None) -> int:
             raise ValueError("--samples must be >= 1")
         if cfg.cap < 1:
             raise ValueError("--cap must be >= 1")
-        # an SSCKIT_BACKEND default does not pass through argparse's choices
-        if cfg.backend not in linalg.RANK_BACKENDS:
-            raise ValueError(f"--backend must be one of {linalg.RANK_BACKENDS}")
         return COMMANDS[cfg.command](cfg)
     except ParseError as exc:
         print(f"ssckit: parse error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ It is the object "for any choice of weight" quantifies over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -368,6 +368,8 @@ class WeightPattern:
     variable_names: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     symmetry: str = "entrywise"
+    # each variable's sign constraint, None where it has none; set by __post_init__
+    signs: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_topology(self, "patterns", self.edges)
@@ -383,6 +385,7 @@ class WeightPattern:
         if len(set(self.variable_names)) != len(self.variable_names):
             raise ValueError("variable names must be unique")
         names = set(self.variable_names)
+        signs: dict[str, str] = {}
         for c in self.constraints:
             if isinstance(c, EqualConstraint):
                 missing = {c.left, c.right} - names
@@ -400,6 +403,9 @@ class WeightPattern:
                 raise ValueError(f"unknown constraint {c!r}")
             if missing:
                 raise ValueError(f"constraint references undeclared variable(s) {sorted(missing)}")
+            if isinstance(c, SignConstraint) and signs.setdefault(c.var, c.sign) != c.sign:
+                raise ValueError(f"conflicting sign constraints on {c.var}: '+' and '-'")
+        object.__setattr__(self, "signs", tuple(signs.get(v) for v in self.variable_names))
 
     @classmethod
     def create(
@@ -472,10 +478,7 @@ class WeightPattern:
         return idx * self.d * self.d + p * self.d + q
 
     def sign_of(self, name: str) -> str | None:
-        for c in self.constraints:
-            if isinstance(c, SignConstraint) and c.var == name:
-                return c.sign
-        return None
+        return dict(zip(self.variable_names, self.signs)).get(name)
 
     def materialize(self, assignment: Mapping[str, Block]) -> MatrixWeightedGraph:
         """Instantiate the pattern with concrete blocks, one per variable."""

@@ -7,15 +7,15 @@ with ``linalg.independent_vectors``, over Q or over GF(``MODULUS``),
 multiplies only the columns it keeps, and stops after a round that keeps
 nothing (the span is then L-invariant, so later powers add nothing).
 Independence mod p implies independence over Q, so the modular count is a
-lower bound on the dimension; the "float" backend keeps the columns
-independent mod p and is uncertified.
-``controllable_subspace`` divides the kept columns back into Fractions.
+lower bound on the dimension. ``controllable_subspace`` runs the loop over Q
+and divides the kept columns back into Fractions.
 
 ``controllable_dim`` reads only the dimension of an integer pair and takes a
 certified upper bound u on it (nd always; d*k for a draw from a k-cell
 equitable-partition system). When the modular rank reaches u the dimension
 is proven with no rational arithmetic; otherwise the exact loop decides,
-stopping at u too. Its "float" backend is the modular rank alone, unchecked.
+stopping at u too. Its "float" backend (the CLI's ``--backend float``) is
+the modular rank alone, unchecked.
 
 The observability matrix of (L, M) is the transpose of the Krylov matrix of
 (L^T, M), so its rank is the dimension of the dual pair's span: the CLI reads
@@ -36,6 +36,7 @@ from . import linalg
 from .graphs import BlockMatrix
 
 MODULUS = linalg.MODULUS
+BACKENDS = ("exact", "float")
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def integer_pair(L: BlockMatrix, M: BlockMatrix):
     return L_int, M_cols, D, E
 
 
-def _rounds(L_int, cols, limit: int, modulus: int | None = None, reduce: bool = True):
+def _rounds(L_int, cols, limit: int, modulus: int | None = None):
     """The Krylov loop: yields, per round, the integer columns it keeps.
 
     ``L_int`` is the nd x nd integer matrix as sparse rows ``[(column, int),
@@ -79,11 +80,9 @@ def _rounds(L_int, cols, limit: int, modulus: int | None = None, reduce: bool = 
     columns kept. A dependent column's image lies in the span of the images
     of the columns before it, which are all tested earlier, so the kept
     columns are still the first independent columns of ``[M, L M, L^2 M,
-    ...]``. With ``modulus`` the products are reduced mod it, unless
-    ``reduce`` is False (a caller that needs the columns themselves). Ends
-    after a round that keeps nothing (the span is then invariant) or once
-    ``limit`` columns are kept; ``limit`` must be at least the span's
-    dimension.
+    ...]``. With ``modulus`` the products are reduced mod it. Ends after a
+    round that keeps nothing (the span is then invariant) or once ``limit``
+    columns are kept; ``limit`` must be at least the span's dimension.
     """
     pivots: dict = {}
     while True:
@@ -91,7 +90,7 @@ def _rounds(L_int, cols, limit: int, modulus: int | None = None, reduce: bool = 
         yield cols
         if not cols or len(pivots) >= limit:
             return
-        if modulus is None or not reduce:
+        if modulus is None:
             cols = [[sum([x * col[c] for c, x in row]) for row in L_int] for col in cols]
         else:
             cols = [[sum([x * col[c] for c, x in row]) % modulus for row in L_int] for col in cols]
@@ -111,7 +110,8 @@ def controllable_dim(L_int, cols, upper: int, backend: str = "exact") -> int:
     ``support_bound``; d*k does for a draw from a feasible k-cell system with
     leaders as singletons).
     """
-    linalg.check_backend(backend)
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown rank backend {backend!r}; expected one of {BACKENDS}")
     low = sum(map(len, _rounds(L_int, cols, upper, MODULUS)))
     if low >= upper or backend == "float":
         return low
@@ -141,7 +141,7 @@ def support_bound(L_int, cols) -> int:
     return len(seen)
 
 
-def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact") -> ControllableSubspace:
+def controllable_subspace(L: BlockMatrix, M: BlockMatrix) -> ControllableSubspace:
     """Minimal L-invariant subspace containing im(M), as a basis of Krylov columns.
 
     The columns of M, L M, L^2 M, ... are tested in that order, each once,
@@ -156,26 +156,23 @@ def controllable_subspace(L: BlockMatrix, M: BlockMatrix, backend: str = "exact"
     matrix E D^k L^k M, computed from ``D L`` as sparse int rows
     (``integer_pair``) by ``_rounds``, the loop ``controllable_dim`` runs too.
     A positive scale changes no independence, so only a kept column is
-    divided back into Fractions. The float backend tests the same exact
-    columns mod p instead. Callers that read only ``.dim`` of an integer pair
-    with a known upper bound use ``controllable_dim`` instead.
+    divided back into Fractions. Callers that read only ``.dim`` of an
+    integer pair with a known upper bound use ``controllable_dim`` instead.
     """
     _check_pair(L, M)
-    linalg.check_backend(backend)
     nd = L.nrows
     L_int, cols, D, scale = integer_pair(L, M)
-    modulus = None if backend == "exact" else MODULUS
     kept: list[list[Fraction]] = []
-    for cols in _rounds(L_int, cols, nd, modulus, reduce=False):
+    for cols in _rounds(L_int, cols, nd):
         kept.extend([Fraction(x, scale) for x in col] for col in cols)
         scale *= D
     basis_rows = tuple(tuple(col[r] for col in kept) for r in range(nd))
     return ControllableSubspace(basis_rows, len(kept))
 
 
-def is_controllable(L: BlockMatrix, M: BlockMatrix, backend: str = "exact") -> bool:
+def is_controllable(L: BlockMatrix, M: BlockMatrix) -> bool:
     """Kalman test: the pair is controllable iff the Krylov span fills all of R^{nd}."""
-    return controllable_subspace(L, M, backend).dim == L.nrows
+    return controllable_subspace(L, M).dim == L.nrows
 
 
 def observability_matrix(L: BlockMatrix, M: BlockMatrix, powers: int | None = None):

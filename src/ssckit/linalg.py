@@ -9,10 +9,10 @@ solutions off them for library code and tests. ``independent_vectors``
 answers every rank and independence question (``rank``,
 ``independent_columns``, the Krylov span) on dense integer vectors
 (``integer_vector`` clears a Fraction vector's denominators), pivoting on
-each vector's last nonzero coordinate. It works over the rationals, or over
-GF(``MODULUS``) for the ``float`` rank backend: never above the rank over
-the rationals and equal to it unless the prime divides some minor, but
-unchecked, so it never feeds a certification path.
+each vector's last nonzero coordinate. ``rank`` and ``independent_columns``
+work over the rationals. ``krylov.controllable_dim`` also works over
+GF(``MODULUS``): never above the rank over the rationals and equal to it
+unless the prime divides some minor.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 SparseRow = dict[int, int]  # column -> nonzero integer entry
 
-RANK_BACKENDS = ("exact", "float")
 MODULUS = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 
 
@@ -70,16 +69,9 @@ def integer_vector(vec) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in vec]
 
 
-def check_backend(backend: str) -> None:
-    if backend not in RANK_BACKENDS:
-        raise ValueError(f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}")
-
-
-def rank(m, backend: str = "exact") -> int:
-    check_backend(backend)
+def rank(m) -> int:
     width = len(m[0]) if m else 0
-    modulus = None if backend == "exact" else MODULUS
-    return len(independent_vectors(map(integer_vector, m), {}, width, modulus))
+    return len(independent_vectors(map(integer_vector, m), {}, width))
 
 
 def independent_columns(m) -> list[int]:

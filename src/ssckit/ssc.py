@@ -246,7 +246,7 @@ def resolve_mode(pattern: WeightPattern, mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "strict":
-        signs = {pattern.sign_of(name) for name in pattern.variable_names}
+        signs = set(pattern.signs)
         if None in signs or len(signs) != 1:
             return "cancellative"
     return mode
@@ -275,14 +275,13 @@ def _check_pinned_signs(pattern: WeightPattern, reduced) -> None:
     for pc, row in sorted((reduced or {}).items()):
         if len(row) != 2 or rhs not in row:
             continue
-        name = pattern.variable_names[pc // (d * d)]
+        idx, k = divmod(pc, d * d)
         value = Fraction(row[rhs], row[pc])
-        sign = pattern.sign_of(name)
+        sign = pattern.signs[idx]
         if (sign == "+" and value < 0) or (sign == "-" and value > 0):
-            k = pc % (d * d)
             raise ValueError(
                 f"pattern constraints admit no weight assignment: entry ({k // d},{k % d}) "
-                f"of {name} is pinned to {value} against its sign {sign!r}"
+                f"of {pattern.variable_names[idx]} is pinned to {value} against its sign {sign!r}"
             )
 
 
@@ -304,6 +303,12 @@ def enumerate_feasible_eps(
     ``cap`` followers, and ``ValueError`` when the pattern's own constraints
     pin an entry against its sign. Sorted by (cell count, canonical cells).
     """
+    return _feasible(pattern, mode, cap, include_same_cell)[2]
+
+
+def _feasible(pattern: WeightPattern, mode: str, cap: int, include_same_cell: bool = True):
+    # (effective mode, prepared rows, sorted feasible systems): the search of
+    # enumerate_feasible_eps, with what it prepared for estimate_ssc_dimension
     if not pattern.edges:
         raise ValueError("pattern has no edges")
     if len(pattern.followers) > cap:
@@ -321,7 +326,7 @@ def enumerate_feasible_eps(
         # the search prunes every child that forces an edge to zero
         out.append(EPConstraintSystem(pattern, pi, piv, ()))
     out.sort(key=lambda s: (s.partition.k, s.partition.cells))
-    return out
+    return effective, prepared, out
 
 
 def min_cell_ep(
@@ -379,16 +384,16 @@ def sample_weights(system, seed=0) -> MatrixWeightedGraph:
 
 
 def _integer_form(system: EPConstraintSystem):
-    """``(den, free, rows, signs)``: the solution space over one common denominator.
+    """``(den, free, rows)``: the solution space over one common denominator.
 
     ``den`` is the lcm of the pivots. Each reduced row is divided by its
     content and has a positive pivot, so ``den`` is the least common
     denominator of the Fraction solutions ``linalg.solve_affine`` reads off
     the rows. ``free`` lists the free columns in ascending order, and
     ``rows`` holds per pivot column ``(pivot column, pivot, den * rhs, other
-    (column, entry) pairs)``; ``signs`` is each variable's sign constraint.
-    Built once per system, so every draw is combined and tested in integers
-    (``den`` is positive, so zero and sign tests carry over).
+    (column, entry) pairs)``. Built once per system, so every draw is
+    combined and tested in integers (``den`` is positive, so zero and sign
+    tests carry over).
     """
     if not system.feasible:
         raise SamplingError(
@@ -401,14 +406,13 @@ def _integer_form(system: EPConstraintSystem):
     rows = [(pc, row[pc], den * row.get(rhs, 0),
              [(c, x) for c, x in row.items() if c != pc and c != rhs])
             for pc, row in system.rows.items()]
-    signs = [pattern.sign_of(name) for name in pattern.variable_names]
-    return den, free, rows, signs
+    return den, free, rows
 
 
 def _draw(pattern: WeightPattern, key: str, form, seed) -> list[int]:
     # the unknowns of sample_weights's draw for the system with this key(),
     # scaled by the _integer_form's den
-    den, free, rows, signs = form
+    den, free, rows = form
     dd = pattern.d * pattern.d
     rng = random.Random(f"{key}|{seed}")
     budgets = [(SAMPLE_RANGE, REJECTION_BUDGET), (WIDENED_RANGE, REJECTION_BUDGET)]
@@ -421,7 +425,7 @@ def _draw(pattern: WeightPattern, key: str, form, seed) -> list[int]:
             for pc, pivot, b, terms in rows:
                 # exact: the pivot divides den
                 vec[pc] = (b - sum(x * vec[c] for c, x in terms)) // pivot
-            bad = next((idx for idx, sign in enumerate(signs)
+            bad = next((idx for idx, sign in enumerate(pattern.signs)
                         if not _entries_ok(vec[idx * dd:(idx + 1) * dd], sign)), None)
             if bad is None:
                 return vec
@@ -548,12 +552,10 @@ def estimate_ssc_dimension(
     """
     if samples_per_system < 1:
         raise ValueError("samples_per_system must be >= 1")
-    systems = enumerate_feasible_eps(pattern, mode, cap)
+    effective, prepared, systems = _feasible(pattern, mode, cap)
     if not systems:
         raise ValueError("pattern constraints admit no weight assignment")
-    effective = resolve_mode(pattern, mode)
     minsys = systems[0]
-    prepared = _pattern_rows(pattern)
     # the search found a system, so the pattern's own rows are consistent and
     # force no edge to zero
     entries = list(systems) + [EPConstraintSystem(pattern, None, prepared.reduced, ())]

@@ -86,6 +86,28 @@ def test_non_string_variable_name_exit2(tmp_path, capsys):
     assert code == 2 and out == "" and "variables[1]" in err
 
 
+def test_conflicting_sign_constraints_exit2(tmp_path, capsys):
+    # a second, different sign on one variable is refused, never dropped
+    signs = [("a", "+"), ("a", "-"), ("b", "+")]
+    doc = {"n": 3, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3}],
+           "variables": [{"edge": [1, 2], "name": "a"}, {"edge": [2, 3], "name": "b"}],
+           "constraints": [{"kind": "sign", "args": list(s)} for s in signs]}
+    path = tmp_path / "conflicting_signs.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "bound", "--input", str(path), "--mode", "strict",
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == ("ssckit: parse error: document: "
+                       "conflicting sign constraints on a: '+' and '-'\n")
+    # an identical repeat is one constraint
+    doc["constraints"][1]["args"] = ["a", "+"]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "bound", "--input", str(path), "--mode", "strict",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["mode"] == "strict"
+
+
 @pytest.mark.parametrize("command,text", [
     ("bound", '{"n": 2, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}], "variables": 5}'),
     ("bound", '{"n": 2, "d": 1, "leaders": [1], "edges": [{"i": 1, "j": 2}], "constraints": 5}'),
@@ -403,21 +425,6 @@ def test_bound_mode_recorded(tmp_path, capsys):
     assert parsed["mode"] == "cancellative" and parsed["mode_requested"] == "strict"
 
 
-def test_backend_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("SSCKIT_BACKEND", "float")
-    code, out, _ = run(capsys, "bound", "--input",
-                       str(FIXTURES / "star4_pattern.json"),
-                       "--samples", "4", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["backend"] == "float" and doc["certified"] is False
-    # a default from the environment does not pass through argparse's choices
-    monkeypatch.setenv("SSCKIT_BACKEND", "bogus")
-    code, out, err = run(capsys, "corpus")
-    assert code == 3 and out == ""
-    assert "--backend must be one of ('exact', 'float')" in err
-
-
 def test_dual_command(capsys):
     code, out, _ = run(capsys, "dual", "--input",
                        str(FIXTURES / "directed_path3.json"), "--format", "json")
@@ -506,7 +513,8 @@ def test_corpus_json(capsys):
 
 
 def test_bad_flag_values_exit3(capsys):
-    for argv in (["bound", "--input", "x.json", "--mode", "sloppy"], [], ["nope"]):
+    for argv in (["bound", "--input", "x.json", "--mode", "sloppy"], [], ["nope"],
+                 ["corpus", "--backend", "svd"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3

@@ -9,6 +9,7 @@ from ssckit import linalg
 from ssckit.graphs import (
     BlockMatrix,
     MatrixWeightedGraph,
+    SignConstraint,
     WeightPattern,
     block_from,
     block_is_zero,
@@ -257,6 +258,24 @@ def test_pattern_validation():
     with pytest.raises(ValueError):
         WeightPattern.create(3, 1, [(1, 2)], [1],
                              constraints=[__import__("ssckit").EqualConstraint("a", "b")])
+
+
+def test_pattern_refuses_conflicting_signs():
+    names = {(1, 2): "a", (2, 3): "b"}
+
+    def pattern(*signs):
+        return WeightPattern.create(3, 1, [(1, 2), (2, 3)], [1], variable_names=names,
+                                    constraints=[SignConstraint(v, s) for v, s in signs])
+
+    with pytest.raises(ValueError, match="conflicting sign constraints on a"):
+        pattern(("a", "+"), ("a", "-"), ("b", "+"))
+    with pytest.raises(ValueError, match="conflicting sign constraints on b"):
+        pattern(("b", "-"), ("a", "+"), ("b", "+"))
+    # an identical repeat is accepted and reads as one sign
+    p = pattern(("a", "-"), ("a", "-"), ("b", "+"))
+    assert p.signs == ("-", "+")
+    assert p.sign_of("a") == "-" and p.sign_of("b") == "+" and p.sign_of("c") is None
+    assert pattern(("b", "+")).signs == (None, "+")
 
 
 def test_pattern_entry_column_round_trip():

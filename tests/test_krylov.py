@@ -94,8 +94,8 @@ def test_basis_is_invariant_and_contains_inputs():
 
 
 def test_basis_is_first_independent_columns_of_ctrb():
-    # the kept Krylov columns are the pivot columns of the full [M LM ... L^{nd-1}M],
-    # on both backends: only kept columns are multiplied, so deficient spans
+    # the kept Krylov columns are the pivot columns of the full [M LM ... L^{nd-1}M]:
+    # only kept columns are multiplied, so deficient spans
     # (planted equitable partitions, nd up to 40) test that rule hardest
     rng = random.Random(47)
     cases = []
@@ -112,10 +112,9 @@ def test_basis_is_first_independent_columns_of_ctrb():
     for L, M in cases:
         full = materialized_ctrb(L, M)
         expected = [[row[c] for row in full] for c in sympy_pivots(full)]
-        for backend in ("exact", "float"):
-            cs = controllable_subspace(L, M, backend)
-            assert [list(col) for col in zip(*cs.basis)] == expected
-            assert cs.dim == len(expected)
+        cs = controllable_subspace(L, M)
+        assert [list(col) for col in zip(*cs.basis)] == expected
+        assert cs.dim == len(expected)
 
 
 def test_rational_blocks_match_materialized_ctrb():
@@ -139,17 +138,6 @@ def test_rational_blocks_match_materialized_ctrb():
         assert [list(col) for col in zip(*cs.basis)] == expected
         assert cs.dim == sympy_rank(full)
     assert rational >= 20
-
-
-def test_float_backend_keeps_the_exact_columns_on_rational_graphs():
-    # the float loop tests the same Fraction Krylov columns, so where it is
-    # accurate it keeps exactly the exact backend's basis
-    rng = random.Random(61)
-    for trial in range(15):
-        g = random_graph(rng, rng.randint(2, 4), d=1 + trial % 2,
-                         directed=rng.random() < 0.5, max_den=7)
-        L, M = pair_for(g)
-        assert controllable_subspace(L, M, "float") == controllable_subspace(L, M)
 
 
 def test_early_stop_matches_materialized_oracle():
@@ -210,16 +198,6 @@ def test_observability_rank_equals_dual_controllability():
         dual_dim = controllable_subspace(*dual_pair(L, M)).dim
         assert linalg.rank(obs) == dual_dim
         assert sympy_rank(obs) == dual_dim
-
-
-def test_float_backend_agrees_on_small_graphs():
-    rng = random.Random(13)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(2, 4), d=1, directed=rng.random() < 0.5)
-        L, M = pair_for(g)
-        exact = controllable_subspace(L, M, backend="exact")
-        approx = controllable_subspace(L, M, backend="float")
-        assert exact.dim == approx.dim
 
 
 @st.composite

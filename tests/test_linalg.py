@@ -72,19 +72,6 @@ def test_rank_matches_sympy_on_random_matrices():
         assert linalg.rank(m) == sympy_rank(m)
 
 
-def test_rank_float_backend_agrees_on_well_conditioned():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        m = rand_matrix(rng, n, n, lo=-5, hi=5, den=2)
-        assert linalg.rank(m, "float") == linalg.rank(m, "exact")
-
-
-def test_rank_unknown_backend():
-    with pytest.raises(ValueError):
-        linalg.rank([[Fraction(1)]], backend="quantum")
-
-
 def test_rank_edge_cases():
     assert linalg.rank([]) == 0
     assert linalg.rank([[]]) == 0

@@ -178,6 +178,29 @@ def test_strict_mode_gate(path3_pattern):
         resolve_mode(path3_pattern, "bogus")
 
 
+def test_bound_prepares_its_pattern_once(monkeypatch):
+    # one reduction of the pattern rows, one mode decision and no per-variable
+    # sign scan per bound, however many systems it samples
+    from ssckit.cli import main
+
+    calls = {"_pattern_rows": 0, "resolve_mode": 0, "sign_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_pattern_rows", "resolve_mode"):
+        monkeypatch.setattr(ssc, name, counted(name, getattr(ssc, name)))
+    monkeypatch.setattr(WeightPattern, "sign_of", counted("sign_of", WeightPattern.sign_of))
+    fixture = Path(ssc.__file__).parent / "fixtures" / "star4_pattern.json"
+    for mode in ("cancellative", "strict"):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["bound", "--input", str(fixture), "--mode", mode, "--samples", "2"]) == 0
+        assert calls == {"_pattern_rows": 1, "resolve_mode": 1, "sign_of": 0}
+
+
 def test_strict_prunes_path3_grouping():
     signed = WeightPattern.create(
         3, 1, [(1, 2), (2, 3)], [1],
