@@ -274,6 +274,10 @@ def laplacian_rows(n: int, d: int, out, values) -> list[list[tuple[int, int]]]:
     the degree block of node r (the sum of its edge blocks) on the diagonal
     and ``-A_rt`` at each neighbour t, so every block row sums to zero. This is
     the one place the sign and degree convention of the Laplacian is written.
+    Neighbour entries accumulate, so an ``out`` read through a cell map (one
+    representative node per cell, t its neighbour's cell) gives the quotient
+    Laplacian: neighbours sharing a cell add up, and one in r's own cell
+    cancels against the degree. On a simple graph nothing is merged.
     """
     rows = []
     for r in range(1, n + 1):
@@ -286,7 +290,7 @@ def laplacian_rows(n: int, d: int, out, values) -> list[list[tuple[int, int]]]:
                     x = values[cols[p * d + q]]
                     if x:
                         row[base + q] = row.get(base + q, 0) + x
-                        row[off + q] = -x
+                        row[off + q] = row.get(off + q, 0) - x
             rows.append([(c, x) for c, x in row.items() if x])
     return rows
 

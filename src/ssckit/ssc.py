@@ -26,7 +26,6 @@ from .graphs import (
     FixedConstraint,
     MatrixWeightedGraph,
     WeightPattern,
-    build_input_matrix,
     integer_edges,
     laplacian_rows,
 )
@@ -201,20 +200,32 @@ def ep_constraint_system(
 # search for feasible equitable partitions
 # ---------------------------------------------------------------------------
 
-def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: bool):
+def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: bool,
+            strict: bool):
     """Yield (cells, reduced rows) for every leader-singleton partition the search keeps.
 
     Cells are fixed one at a time, leaders first as singletons: the next cell
-    is the least unassigned follower plus any subset of the other unassigned
-    followers, so each set partition is reached once. With fixed cells
-    C1..Cj and R the union of the unassigned followers, the rows "same-cell
-    nodes of a fixed cell have equal block sums into each fixed cell and
-    into R" are sums of EP rows of every completion. Each child reduces only
-    its new rows into its parent's pivots: the earlier cells into the new
-    cell, and the new cell into every fixed cell, itself and what remains of
-    R. Inconsistency and a forced-zero edge can only appear, never vanish, as
-    rows are added, so a child showing either is pruned with its subtree. At
-    a leaf R is empty and the rows span exactly the partition's EP system.
+    is the least unassigned follower plus a subset of the other unassigned
+    followers compatible with it, so each set partition is reached at most
+    once. With fixed cells C1..Cj and R the union of the unassigned
+    followers, the rows "same-cell nodes of a fixed cell have equal block
+    sums into each fixed cell and into R" are sums of EP rows of every
+    completion. Each child reduces only its new rows into its parent's
+    pivots: the earlier cells into the new cell, and the new cell into every
+    fixed cell, itself and what remains of R. Inconsistency and a
+    forced-zero edge can only appear, never vanish, as rows are added, so a
+    child showing either is pruned with its subtree.
+
+    A follower v is compatible with the new cell's first node u unless one
+    of them has exactly one edge into some fixed cell F and the other has
+    none: their row into F is then that edge's block = 0, which pins every
+    entry of the edge, so any child holding both is pruned anyway. Under
+    ``strict`` (the effective strict mode) 0 edges against any number is
+    incompatible too, since ``_support_uniform`` refuses every leaf with u
+    and v in one cell. The new cell is never a fixed cell, so this holds for
+    either ``include_same_cell``. Testing only compatible children turns the
+    2^(f-1) root children of a path led from one end into one. At a leaf R
+    is empty and the rows span exactly the partition's EP system.
     """
     cols = pattern.unknown_count
 
@@ -224,9 +235,25 @@ def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: b
             return
         first, others = rest[0], rest[1:]
         fixed = {v: gi for gi, cell in enumerate(cells) for v in cell}
+
+        def edges_into_fixed(v):
+            counts = [0] * len(cells)
+            for t, _ in prepared.out[v]:
+                gi = fixed.get(t)
+                if gi is not None:
+                    counts[gi] += 1
+            return counts
+
+        mine = edges_into_fixed(first)
+
+        def compatible(v):
+            return not any(0 in (a, b) and a != b and (strict or a + b == 1)
+                           for a, b in zip(mine, edges_into_fixed(v)))
+
         j = len(cells)
-        for size in range(len(others) + 1):
-            for extra in itertools.combinations(others, size):
+        fits = [v for v in others if compatible(v)]
+        for size in range(len(fits) + 1):
+            for extra in itertools.combinations(fits, size):
                 new = (first,) + extra
                 left = tuple(v for v in others if v not in extra)
                 group_of = {**fixed, **dict.fromkeys(new, j), **dict.fromkeys(left, j + 1)}
@@ -295,11 +322,15 @@ def enumerate_feasible_eps(
 
     Partitions range over the followers only (leaders are pinned to
     singleton cells so every column of M is a column of the characteristic
-    matrix). ``_search`` fixes one cell at a time and prunes every subtree
-    whose rows so far are already inconsistent or force an edge to zero, so
-    each returned system equals ``ep_constraint_system`` of its partition
-    without every set partition being built. In strict mode a partition
-    must also pass ``_support_uniform``. Raises ``EnumerationCapError`` above
+    matrix). ``_search`` fixes one cell at a time. It tests as the next cell
+    only followers whose edge counts into the fixed cells are compatible
+    with its first node, and it prunes every subtree whose rows so far are
+    already inconsistent or force an edge to zero. So each returned system
+    equals ``ep_constraint_system`` of its partition without every set
+    partition being built: a path led from one end takes one reduction per
+    follower. Symmetric patterns, such as a star whose leaves are all
+    followers, still prune nothing. In strict mode a partition must also pass
+    ``_support_uniform``. Raises ``EnumerationCapError`` above
     ``cap`` followers, and ``ValueError`` when the pattern's own constraints
     pin an entry against its sign. Sorted by (cell count, canonical cells).
     """
@@ -319,9 +350,10 @@ def _feasible(pattern: WeightPattern, mode: str, cap: int, include_same_cell: bo
     prepared = _pattern_rows(pattern)
     _check_pinned_signs(pattern, prepared.reduced)
     out = []
-    for cells, piv in _search(pattern, prepared, include_same_cell):
+    strict = effective == "strict"
+    for cells, piv in _search(pattern, prepared, include_same_cell, strict):
         pi = Partition(tuple(cells))
-        if effective == "strict" and not _support_uniform(prepared, pi):
+        if strict and not _support_uniform(prepared, pi):
             continue
         # the search prunes every child that forces an edge to zero
         out.append(EPConstraintSystem(pattern, pi, piv, ()))
@@ -525,6 +557,27 @@ class SSCReport:
         }
 
 
+def _quotient_pair(pattern: WeightPattern, prepared: _PatternRows, cells):
+    """The edge table and input columns of the quotient pair (Q, M_q) over ``cells``.
+
+    Cell a (1-based, in the order of ``cells``) stands for its first node:
+    ``out[a]`` lists ``(cell of t, cols)`` over that node's edges, so
+    ``graphs.laplacian_rows(len(cells), d, out, vec)`` accumulates its sums
+    into each cell, and gives ``den * Q`` for a draw ``vec`` that satisfies
+    the EP equations of ``cells``. The inputs are the dense columns of M_q:
+    the identity at each leader's cell, leaders in pattern order.
+    """
+    d = pattern.d
+    cell_of = {v: a for a, cell in enumerate(cells, 1) for v in cell}
+    out = {a: tuple((cell_of[t], cols) for t, cols in prepared.out[cell[0]])
+           for a, cell in enumerate(cells, 1)}
+    inputs = [[0] * (len(cells) * d) for _ in range(len(pattern.leaders) * d)]
+    for i, l in enumerate(pattern.leaders):
+        for p in range(d):
+            inputs[i * d + p][(cell_of[l] - 1) * d + p] = 1
+    return out, inputs
+
+
 def estimate_ssc_dimension(
     pattern: WeightPattern,
     mode: str = "cancellative",
@@ -539,13 +592,17 @@ def estimate_ssc_dimension(
     unconstrained pattern always included); the report records the certified
     bound d*k_min next to the sampled minimum, never conflating the two.
 
-    Each draw stays in integers: its unknowns go straight into the sparse
-    rows of ``den * L`` (``graphs.laplacian_rows`` over ``_PatternRows.out``,
-    which already mirrors undirected edges under their symmetry convention), and
-    ``krylov.controllable_dim`` reads the dimension with the system's own
-    upper bound as certificate: d*k for a k-cell system (its draws satisfy every EP equation and keep
-    the leaders as singletons, so im(P) is L-invariant and contains im(M))
-    and n*d for the unconstrained one. Each sampled dimension equals
+    Each draw stays in integers, and its span is read on the quotient. A
+    draw from a k-cell system satisfies every EP equation and keeps the
+    leaders as singletons, so L P = P Q and M = P M_q, with P the 0/1
+    characteristic matrix. P has disjoint nonzero columns, so it is injective
+    over Q and mod p alike, and dim <L|M> = dim <Q|M_q> exactly and mod p.
+    The draw's unknowns go straight into the sparse rows of ``den * Q``
+    (``graphs.laplacian_rows`` over ``_quotient_pair``'s one representative
+    node per cell), and ``krylov.controllable_dim`` reads the dimension with
+    d*k, the size of Q, as its certified upper bound. The unconstrained
+    system is the all-singleton partition, whose quotient is L itself, with
+    bound n*d. Each sampled dimension equals
     ``controllable_subspace(build_laplacian(g), M).dim`` for
     ``g = sample_weights(system, seed)``; no draw is built as a graph. Under
     ``backend="float"`` the modular rank is reported unchecked.
@@ -560,15 +617,16 @@ def estimate_ssc_dimension(
     # force no edge to zero
     entries = list(systems) + [EPConstraintSystem(pattern, None, prepared.reduced, ())]
     nd, dd = pattern.n * pattern.d, pattern.d * pattern.d
-    inputs = [[int(x) for x in col]
-              for col in zip(*build_input_matrix(pattern.leaders, pattern.n, pattern.d).entries)]
+    singletons = tuple((v,) for v in range(1, pattern.n + 1))
 
     results = []
     witness_weights = None
     for system in entries:
         key = system.key()
         form = _integer_form(system)
-        upper = nd if system.k is None else pattern.d * system.k
+        cells = singletons if system.partition is None else system.partition.cells
+        out, inputs = _quotient_pair(pattern, prepared, cells)
+        upper = pattern.d * len(cells)
         samples = []
         for i in range(samples_per_system):
             sseed = _derive_seed(seed, key, i)
@@ -577,8 +635,8 @@ def estimate_ssc_dimension(
                 witness_weights = tuple(
                     (e, _block(vec[idx * dd:(idx + 1) * dd], form[0], pattern.d))
                     for idx, e in enumerate(pattern.edges))
-            L_int = laplacian_rows(pattern.n, pattern.d, prepared.out, vec)
-            samples.append((sseed, controllable_dim(L_int, inputs, upper, backend)))
+            Q_int = laplacian_rows(len(cells), pattern.d, out, vec)
+            samples.append((sseed, controllable_dim(Q_int, inputs, upper, backend)))
         results.append(SystemSamples(system.partition, system.k, tuple(samples)))
 
     flat = tuple(s for r in results for s in r.samples)

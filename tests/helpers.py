@@ -9,10 +9,13 @@ a plain power loop.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 from sympy import QQ
@@ -46,9 +49,22 @@ from ssckit.ssc import (
     SAMPLE_RANGE,
     WIDENED_RANGE,
     ReversalReport,
+    _ep_rows,
+    _forced_zero,
     ep_constraint_system,
     resolve_mode,
 )
+
+
+def benchmark_workloads():
+    """``benchmark/workloads.py``, which builds the benchmark decks and imports nothing from ssckit."""
+    # loaded under its own name, so no other module called ``workloads`` is shadowed
+    name = "benchmark_workloads"
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_block(rng: random.Random, d: int, lo=-4, hi=4, max_den=1):
@@ -515,6 +531,40 @@ def reference_support_uniform(pattern: WeightPattern, pi: Partition) -> bool:
     cell_of = {v: idx for idx, cell in enumerate(pi.cells) for v in cell}
     return all(len({frozenset(cell_of[t] for t in nbrs[v]) for v in cell}) == 1
                for cell in pi.cells)
+
+
+def reference_search(pattern: WeightPattern, prepared, include_same_cell: bool):
+    """``ssc._search`` testing every child: the next cell may take any unassigned followers.
+
+    The cell-by-cell search before children were filtered by edge counts: the
+    next cell is the least unassigned follower plus each subset of the others
+    (2^(f-1) children at a root with f followers), every child reduced with
+    ``linalg.integer_rref`` and pruned when inconsistent or forcing an edge to
+    zero. It never reads the mode; strict leaves are filtered afterwards.
+    """
+    cols = pattern.unknown_count
+
+    def visit(cells, rest, piv):
+        if not rest:
+            yield cells, piv
+            return
+        first, others = rest[0], rest[1:]
+        fixed = {v: gi for gi, cell in enumerate(cells) for v in cell}
+        j = len(cells)
+        for size in range(len(others) + 1):
+            for extra in itertools.combinations(others, size):
+                new = (first,) + extra
+                left = tuple(v for v in others if v not in extra)
+                group_of = {**fixed, **dict.fromkeys(new, j), **dict.fromkeys(left, j + 1)}
+                rows = _ep_rows(prepared, cells, dict.fromkeys(new, j), True)
+                rows += _ep_rows(prepared, [new], group_of, include_same_cell)
+                child = linalg.integer_rref(rows, cols, piv)
+                if child is not None and not _forced_zero(pattern, child):
+                    yield from visit(cells + [new], left, child)
+
+    root = prepared.reduced
+    if root is not None and not _forced_zero(pattern, root):
+        yield from visit([(l,) for l in pattern.leaders], pattern.followers, root)
 
 
 def exhaustive_feasible_eps(pattern: WeightPattern, mode="cancellative", include_same_cell=True):

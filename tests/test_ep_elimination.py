@@ -6,8 +6,12 @@ candidate is compared with the dense ``solve_affine`` route in
 ``helpers.dense_ep_system``. The pruned cell-by-cell search of
 ``enumerate_feasible_eps`` is compared with the unpruned per-partition loop
 ``helpers.exhaustive_feasible_eps``, and its feasible set with the all-pairs
-sympy oracle. ``_PatternRows.out``, the one edge table the EP rows, the strict
-support test and the draws read, is compared with ``WeightPattern.entry_column``.
+sympy oracle. The search tests only the children whose first node's edge
+counts into the fixed cells allow them; its leaves are compared with
+``helpers.reference_search``, which tests every child, and its
+``integer_rref`` calls are counted on paths. ``_PatternRows.out``, the one
+edge table the EP rows, the strict support test and the draws read, is
+compared with ``WeightPattern.entry_column``.
 The integer draws of ``sample_weights``, read straight off a system's reduced
 rows, are compared with ``helpers.fraction_sample_weights`` over the Fraction
 solution space ``linalg.solve_affine`` reads off the same rows.
@@ -15,6 +19,7 @@ solution space ``linalg.solve_affine`` reads off the same rows.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +33,7 @@ from helpers import (
     leader_singleton_partitions,
     oracle_feasible_partitions,
     pinned_sign_conflicts,
+    reference_search,
     reference_support_uniform,
     without_signs,
 )
@@ -38,17 +44,19 @@ from ssckit.ssc import (
     SamplingError,
     _integer_form,
     _pattern_rows,
+    _search,
     _support_uniform,
     enumerate_feasible_eps,
     ep_constraint_system,
+    estimate_ssc_dimension,
     resolve_mode,
     sample_weights,
 )
 
 
 @st.composite
-def patterns(draw, max_followers=5):
-    n = draw(st.integers(min_value=5, max_value=8))
+def patterns(draw, max_followers=5, max_nodes=8, max_edges=9):
+    n = draw(st.integers(min_value=5, max_value=max_nodes))
     d = draw(st.sampled_from([1, 2]))
     directed = draw(st.booleans())
     symmetry = None if directed else draw(st.sampled_from(["entrywise", "transpose"]))
@@ -57,7 +65,7 @@ def patterns(draw, max_followers=5):
         if directed
         else itertools.combinations(range(1, n + 1), 2)
     )
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(len(pairs), 9),
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(len(pairs), max_edges),
                            unique=True))
     followers = draw(st.integers(min_value=2, max_value=min(max_followers, n - 1)))
     leaders = draw(st.permutations(range(1, n + 1)))[: n - followers]
@@ -136,6 +144,84 @@ def test_pruned_search_matches_exhaustive_reference(pattern, include_same_cell, 
         pattern = without_signs(pattern)
     found = enumerate_feasible_eps(pattern, mode, include_same_cell=include_same_cell)
     assert summary(found) == summary(exhaustive_feasible_eps(pattern, mode, include_same_cell))
+
+
+def strict_leaves(prepared, leaves):
+    return [(cells, piv) for cells, piv in leaves
+            if _support_uniform(prepared, Partition(tuple(cells)))]
+
+
+@given(patterns(max_followers=7, max_nodes=9, max_edges=16), st.booleans(),
+       st.sampled_from(["cancellative", "strict"]))
+@settings(max_examples=150, deadline=None)
+def test_search_matches_reference_search(pattern, include_same_cell, mode):
+    # the same leaves with the same reduced rows, in the same order; strict
+    # mode may skip more children, but only leaves _support_uniform refuses
+    prepared = _pattern_rows(pattern)
+    strict = resolve_mode(pattern, mode) == "strict"
+    got = list(_search(pattern, prepared, include_same_cell, strict))
+    want = list(reference_search(pattern, prepared, include_same_cell))
+    if strict:
+        assert all(leaf in want for leaf in got)
+        assert strict_leaves(prepared, got) == strict_leaves(prepared, want)
+    else:
+        assert got == want
+
+
+def test_strict_compatibility_skips_a_child_cancellation_keeps():
+    # in {4,5,6}, node 4 has no edge into the fixed cell {2,3} and 5 and 6
+    # have two each, whose weights can cancel: the cell survives the EP rows,
+    # but under one shared sign its supports differ, so strict mode never
+    # tests it
+    edges = [(1, 4), (1, 5), (1, 6), (2, 5), (3, 5), (2, 6), (3, 6)]
+    names = WeightPattern.create(6, 1, edges, [1]).variable_names
+    pattern = WeightPattern.create(
+        6, 1, edges, [1], constraints=[SignConstraint(name, "+") for name in names])
+    prepared = _pattern_rows(pattern)
+    cancelling = [(1,), (2, 3), (4, 5, 6)]
+    assert cancelling in [cells for cells, _ in _search(pattern, prepared, True, False)]
+    got = list(_search(pattern, prepared, True, True))
+    assert cancelling not in [cells for cells, _ in got]
+    want = list(reference_search(pattern, prepared, True))
+    assert got == strict_leaves(prepared, want) != want
+    assert summary(enumerate_feasible_eps(pattern, "strict")) == summary(
+        exhaustive_feasible_eps(pattern, "strict"))
+
+
+def path_pattern(n):
+    return WeightPattern.create(n, 1, [(i, i + 1) for i in range(1, n)], [1])
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_path_search_reduces_one_child_per_follower(monkeypatch, n):
+    # led from one end, each new cell's first node has one edge into the
+    # last fixed cell and every other follower none, so a single child is
+    # tested per level: n - 1 reductions plus the pattern's own, against
+    # 2^(n-1) - 1 children tested when every subset is tried
+    calls = []
+    original = linalg.integer_rref
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "integer_rref", counting)
+    pattern = path_pattern(n)
+    systems = enumerate_feasible_eps(pattern, cap=n)
+    assert [s.partition.k for s in systems] == [n]
+    assert len(calls) == n
+    prepared = _pattern_rows(pattern)
+    calls.clear()
+    assert len(list(reference_search(pattern, prepared, True))) == 1
+    assert len(calls) == 2 ** (n - 1) - 1
+
+
+def test_eighteen_node_path_bound_in_under_a_second():
+    # 17 followers: 131072 reductions, about 9 s, when every child is tested
+    start = time.perf_counter()
+    report = estimate_ssc_dimension(path_pattern(18), cap=20)
+    assert time.perf_counter() - start < 1.0
+    assert report.k_min == 18 and len(report.systems) == 2
 
 
 def assert_edge_table_matches_entry_column(pattern):

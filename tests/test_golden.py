@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import sys
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import benchmark_workloads
 from ssckit.cli import main
 from ssckit.graphs import MatrixWeightedGraph
 from ssckit.netio import parse_network
@@ -34,16 +34,7 @@ DECK_SEED = 0
 BACKENDS = ("exact", "float")
 
 
-def _workloads():
-    # loaded under its own name, so no other module called ``workloads`` is shadowed
-    name = "benchmark_workloads"
-    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmark" / "workloads.py")
-    module = sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
+WORKLOADS = benchmark_workloads()
 DECKS = {w: WORKLOADS.build_deck(w, DECK_SEED) for w in WORKLOADS.WORKLOADS}
 
 

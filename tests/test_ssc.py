@@ -1,12 +1,15 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    benchmark_workloads,
     fraction_sample_weights,
     hstack,
     oracle_feasible_partitions,
@@ -29,8 +32,15 @@ from ssckit.graphs import (
     build_laplacian,
     laplacian_rows,
 )
-from ssckit.krylov import controllable_subspace
-from ssckit.partitions import Partition, characteristic_matrix, verify_equitable
+from ssckit.krylov import BACKENDS, controllable_dim, controllable_subspace
+from ssckit.netio import parse_network
+from ssckit.partitions import (
+    Partition,
+    characteristic_matrix,
+    quotient,
+    quotient_laplacian,
+    verify_equitable,
+)
 from ssckit.ssc import (
     EnumerationCapError,
     SamplingError,
@@ -475,6 +485,142 @@ def test_laplacian_rows_match_build_laplacian(kind, d):
                 dense = dict(row)
                 assert [dense.get(c, 0) for c in range(L.ncols)] == [den * x for x in expect]
     assert any(ssc._integer_form(s)[0] > 1 for s in systems)
+
+
+def draws(pattern, systems, samples, seed=0):
+    """(system, derived seed, den, drawn unknowns) for every draw ``bound`` makes of ``systems``."""
+    for system in systems:
+        form = ssc._integer_form(system)
+        for i in range(samples):
+            sseed = ssc._derive_seed(seed, system.key(), i)
+            yield system, sseed, form[0], ssc._draw(pattern, system.key(), form, sseed)
+
+
+def quotient_cells(system):
+    # the cells bound ranks a draw on: singletons for the unconstrained system
+    if system.partition is None:
+        return tuple((v,) for v in range(1, system.pattern.n + 1))
+    return system.partition.cells
+
+
+@pytest.mark.parametrize("kind", ["directed", "entrywise", "transpose"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quotient_rows_match_quotient_laplacian(kind, d):
+    # one representative node per cell, its neighbours read through the cell
+    # map: the rows over den are the Laplacian of partitions.quotient of the
+    # drawn graph (the all-singleton quotient of a free draw is L itself)
+    pattern = mixed_pattern(kind, d)
+    prepared = ssc._pattern_rows(pattern)
+    systems = enumerate_feasible_eps(pattern) + [ep_constraint_system(pattern, None)]
+    assert any(s.k is not None and s.k < pattern.n for s in systems)
+    for system, sseed, den, vec in draws(pattern, systems, 3):
+        cells = quotient_cells(system)
+        out, inputs = ssc._quotient_pair(pattern, prepared, cells)
+        rows = laplacian_rows(len(cells), d, out, vec)
+        Lq = quotient_laplacian(quotient(sample_weights(system, sseed), Partition(cells)))
+        for row, expect in zip(rows, Lq.entries, strict=True):
+            dense = dict(row)
+            assert [Fraction(dense.get(c, 0), den) for c in range(Lq.ncols)] == list(expect)
+        M = build_input_matrix(pattern.leaders, pattern.n, d)
+        P = characteristic_matrix(Partition(cells), pattern.n, d)
+        assert [list(col) for col in zip(*M.entries)] == [
+            [sum(P.entries[r][c] * x for c, x in enumerate(col)) for r in range(P.nrows)]
+            for col in inputs]
+
+
+def bound_deck_patterns(seeds):
+    workloads = benchmark_workloads()
+    for seed in seeds:
+        for workload in ("bound_enum", "bound_sample"):
+            for job in workloads.build_deck(workload, seed):
+                samples = int(job.extra[job.extra.index("--samples") + 1])
+                yield job.key, parse_network(json.dumps(job.network.doc)), samples
+
+
+def test_quotient_dims_match_full_rows_on_bound_decks():
+    # every draw bound makes on the bound_* decks of seeds 0-3: the reported
+    # dimension, ranked on the quotient, equals the rank of the full rows
+    # with n*d as the only bound, exactly and mod p
+    count = 0
+    for key, pattern, samples in bound_deck_patterns(range(4)):
+        prepared = ssc._pattern_rows(pattern)
+        systems = enumerate_feasible_eps(pattern) + [ep_constraint_system(pattern, None)]
+        nd = pattern.n * pattern.d
+        full_inputs = [[int(x) for x in col] for col in
+                       zip(*build_input_matrix(pattern.leaders, pattern.n, pattern.d).entries)]
+        for backend in BACKENDS:
+            report = estimate_ssc_dimension(pattern, samples_per_system=samples, backend=backend)
+            reported = dict(report.sampled_dims)
+            for system, sseed, _, vec in draws(pattern, systems, samples):
+                L_int = laplacian_rows(pattern.n, pattern.d, prepared.out, vec)
+                full = controllable_dim(L_int, full_inputs, nd, backend)
+                assert reported[sseed] == full, (key, backend, system.key(), sseed)
+                count += 1
+    assert count > 2000
+
+
+@st.composite
+def planted_patterns(draw):
+    """A pattern built around a leader-protected partition that its equal-weight draws make equitable.
+
+    Between two cells: nothing, every edge, or a matching when they have the
+    same size; inside a cell: nothing or every edge. With one weight per
+    kind of edge the planted cells are equitable, so they are feasible for
+    directed and entrywise patterns; ``transpose`` ones are drawn too.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    directed = draw(st.booleans())
+    symmetry = None if directed else draw(st.sampled_from(["entrywise", "transpose"]))
+    sizes = [1] + draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    order = draw(st.permutations(range(1, n + 1)))
+    cells, at = [], 0
+    for size in sizes:
+        cells.append(order[at:at + size])
+        at += size
+    edges = set()
+
+    def add(i, j):
+        if directed or i < j:
+            edges.add((i, j))
+        else:
+            edges.add((j, i))
+
+    pairs = itertools.permutations(range(len(cells)), 2) if directed else \
+        itertools.combinations(range(len(cells)), 2)
+    for a, b in pairs:
+        kinds = ["none", "all"] + (["matching"] if sizes[a] == sizes[b] else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "all":
+            for i in cells[a]:
+                for j in cells[b]:
+                    add(i, j)
+        elif kind == "matching":
+            for i, j in zip(cells[a], cells[b]):
+                add(i, j)
+    for cell in cells:
+        if len(cell) > 1 and draw(st.booleans()):
+            for i, j in itertools.permutations(cell, 2):
+                add(i, j)
+    assume(edges)
+    pattern = WeightPattern.create(n, d, sorted(edges), [cells[0][0]], directed=directed,
+                                   symmetry=symmetry)
+    return pattern, Partition(tuple(tuple(c) for c in cells))
+
+
+@given(planted_patterns(), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_quotient_dims_match_controllable_subspace_on_planted_eps(case, seed):
+    pattern, planted = case
+    report = estimate_ssc_dimension(pattern, samples_per_system=2, seed=seed)
+    if pattern.symmetry != "transpose":
+        assert report.k_min <= planted.k
+    M = build_input_matrix(pattern.leaders, pattern.n, pattern.d)
+    for s in report.systems:
+        system = ep_constraint_system(pattern, s.partition)
+        for sseed, dim in s.samples:
+            g = sample_weights(system, sseed)
+            assert controllable_subspace(build_laplacian(g), M).dim == dim
 
 
 def test_report_samples_reproducible(diamond_pattern, star4_pattern, k3_pattern):
