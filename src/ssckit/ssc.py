@@ -26,6 +26,7 @@ from .graphs import (
     FixedConstraint,
     MatrixWeightedGraph,
     WeightPattern,
+    build_input_matrix,
     integer_edges,
     laplacian_rows,
 )
@@ -200,8 +201,7 @@ def ep_constraint_system(
 # search for feasible equitable partitions
 # ---------------------------------------------------------------------------
 
-def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: bool,
-            strict: bool):
+def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: bool):
     """Yield (cells, reduced rows) for every leader-singleton partition the search keeps.
 
     Cells are fixed one at a time, leaders first as singletons: the next cell
@@ -219,13 +219,12 @@ def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: b
     A follower v is compatible with the new cell's first node u unless one
     of them has exactly one edge into some fixed cell F and the other has
     none: their row into F is then that edge's block = 0, which pins every
-    entry of the edge, so any child holding both is pruned anyway. Under
-    ``strict`` (the effective strict mode) 0 edges against any number is
-    incompatible too, since ``_support_uniform`` refuses every leaf with u
-    and v in one cell. The new cell is never a fixed cell, so this holds for
-    either ``include_same_cell``. Testing only compatible children turns the
-    2^(f-1) root children of a path led from one end into one. At a leaf R
-    is empty and the rows span exactly the partition's EP system.
+    entry of the edge, so any child holding both is pruned anyway. The new
+    cell is never a fixed cell, so this holds for either
+    ``include_same_cell`` and in either mode. Testing only compatible
+    children turns the 2^(f-1) root children of a path led from one end into
+    one. At a leaf R is empty and the rows span exactly the partition's EP
+    system.
     """
     cols = pattern.unknown_count
 
@@ -247,8 +246,7 @@ def _search(pattern: WeightPattern, prepared: _PatternRows, include_same_cell: b
         mine = edges_into_fixed(first)
 
         def compatible(v):
-            return not any(0 in (a, b) and a != b and (strict or a + b == 1)
-                           for a, b in zip(mine, edges_into_fixed(v)))
+            return not any(a + b == 1 for a, b in zip(mine, edges_into_fixed(v)))
 
         j = len(cells)
         fits = [v for v in others if compatible(v)]
@@ -350,10 +348,9 @@ def _feasible(pattern: WeightPattern, mode: str, cap: int, include_same_cell: bo
     prepared = _pattern_rows(pattern)
     _check_pinned_signs(pattern, prepared.reduced)
     out = []
-    strict = effective == "strict"
-    for cells, piv in _search(pattern, prepared, include_same_cell, strict):
+    for cells, piv in _search(pattern, prepared, include_same_cell):
         pi = Partition(tuple(cells))
-        if strict and not _support_uniform(prepared, pi):
+        if effective == "strict" and not _support_uniform(prepared, pi):
             continue
         # the search prunes every child that forces an edge to zero
         out.append(EPConstraintSystem(pattern, pi, piv, ()))
@@ -564,18 +561,14 @@ def _quotient_pair(pattern: WeightPattern, prepared: _PatternRows, cells):
     ``out[a]`` lists ``(cell of t, cols)`` over that node's edges, so
     ``graphs.laplacian_rows(len(cells), d, out, vec)`` accumulates its sums
     into each cell, and gives ``den * Q`` for a draw ``vec`` that satisfies
-    the EP equations of ``cells``. The inputs are the dense columns of M_q:
-    the identity at each leader's cell, leaders in pattern order.
+    the EP equations of ``cells``. The inputs are the dense columns of M_q,
+    the input matrix of the leaders' cells.
     """
-    d = pattern.d
     cell_of = {v: a for a, cell in enumerate(cells, 1) for v in cell}
     out = {a: tuple((cell_of[t], cols) for t, cols in prepared.out[cell[0]])
            for a, cell in enumerate(cells, 1)}
-    inputs = [[0] * (len(cells) * d) for _ in range(len(pattern.leaders) * d)]
-    for i, l in enumerate(pattern.leaders):
-        for p in range(d):
-            inputs[i * d + p][(cell_of[l] - 1) * d + p] = 1
-    return out, inputs
+    m_q = build_input_matrix([cell_of[l] for l in pattern.leaders], len(cells), pattern.d)
+    return out, [[int(x) for x in col] for col in zip(*m_q.entries)]
 
 
 def estimate_ssc_dimension(
