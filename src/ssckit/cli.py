@@ -27,7 +27,6 @@ from .krylov import controllable_subspace  # noqa: F401  (kept importable from t
 from .netio import ParseError, parse_network
 from .partitions import (
     InvalidPartitionError,
-    NotEquitableError,
     Partition,
     coarsest_ep,
     partition_of,
@@ -47,6 +46,7 @@ from .render import (
 from .ssc import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_SAMPLES,
+    MODES,
     EnumerationCapError,
     estimate_ssc_dimension,
     invariant_node_report,
@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
                         help="one of the commands listed below")
     parser.add_argument("--input", help="path to a network document")
     parser.add_argument("--partition", help="JSON list of cells, e.g. '[[1],[2,3],[4]]'")
-    parser.add_argument("--mode", choices=["strict", "cancellative"], default="cancellative")
+    parser.add_argument("--mode", choices=MODES, default="cancellative")
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", choices=BACKENDS, default="exact")
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         print(f"ssckit: {exc}; raise --cap to enumerate more followers", file=sys.stderr)
         return EXIT_CAP
-    except (WrongInputKind, InvalidPartitionError, NotEquitableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"ssckit: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGUMENT
     except Exception as exc:  # anything else is an internal failure

@@ -23,7 +23,7 @@ from .partitions import (
     quotient_laplacian,
     verify_lift,
 )
-from .ssc import estimate_ssc_dimension, invariant_node_report, reversal_check
+from .ssc import DEFAULT_SAMPLES, estimate_ssc_dimension, invariant_node_report, reversal_check
 
 FIXTURES = (
     "diamond", "diamond_pattern", "path3", "path3_pattern",
@@ -145,7 +145,8 @@ def _check_self_dual(name):
     return ok, "dual pair equals the original for the undirected scalar fixture"
 
 
-def run_corpus(samples: int = 32, seed: int = 0, backend: str = "exact") -> list[CorpusResult]:
+def run_corpus(samples: int = DEFAULT_SAMPLES, seed: int = 0,
+               backend: str = "exact") -> list[CorpusResult]:
     checks = [
         ("characteristic-matrix-blocks", _check_characteristic_blocks),
         ("diamond-coarsest-ep", lambda: _check_coarsest("diamond", [1], [[1], [2, 3], [4]])),

@@ -22,14 +22,11 @@ from .linalg import as_fraction, mat_mul
 Block = tuple[tuple[Fraction, ...], ...]
 Edge = tuple[int, int]
 
-SYMMETRY_CONVENTIONS = ("entrywise", "transpose", "none")
-
-
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
 
-def block_from(data, d: int | None = None) -> Block:
+def block_from(data, d: int) -> Block:
     """Normalize a list of rows (or a bare scalar) into a d x d Fraction block."""
     if isinstance(data, (int, str, float, Fraction)):
         data = [[data]]
@@ -38,7 +35,7 @@ def block_from(data, d: int | None = None) -> Block:
     rows = tuple(tuple(as_fraction(x) for x in row) for row in data)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("weight block must be square")
-    if d is not None and len(rows) != d:
+    if len(rows) != d:
         raise ValueError(f"weight block is {len(rows)}x{len(rows)}, expected {d}x{d}")
     return rows
 
@@ -352,6 +349,11 @@ class SignConstraint:
 Constraint = Union[EqualConstraint, FixedConstraint, SignConstraint]
 
 
+def default_variable_name(i: int, j: int) -> str:
+    """Name of the variable on edge (i, j) when the document gives none."""
+    return f"w{i}_{j}"
+
+
 def _constraint_sort_key(c: Constraint):
     if isinstance(c, EqualConstraint):
         return (0, c.left, c.right)
@@ -437,7 +439,7 @@ class WeightPattern:
         if not directed:
             given = {((min(i, j), max(i, j))): v for (i, j), v in given.items()}
         for e in norm:
-            names.append(given.get(e, f"w{e[0]}_{e[1]}"))
+            names.append(given.get(e, default_variable_name(*e)))
         cons = tuple(sorted(constraints, key=_constraint_sort_key))
         return cls(n, d, directed, tuple(leaders), tuple(norm), tuple(names), cons, symmetry)
 
@@ -454,9 +456,6 @@ class WeightPattern:
             return self.variable_names.index(name)
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
-
-    def edge_of(self, name: str) -> Edge:
-        return self.edges[self.variable_index(name)]
 
     def variable_column(self, name: str, p: int, q: int) -> int:
         """Unknown-vector column of entry (p, q) of a variable's block."""

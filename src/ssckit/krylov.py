@@ -175,18 +175,16 @@ def is_controllable(L: BlockMatrix, M: BlockMatrix) -> bool:
     return controllable_subspace(L, M).dim == L.nrows
 
 
-def observability_matrix(L: BlockMatrix, M: BlockMatrix, powers: int | None = None):
-    """Row stack [M^T; M^T L; ...; M^T L^{p-1}] whose rank is the observability rank.
+def observability_matrix(L: BlockMatrix, M: BlockMatrix):
+    """Row stack [M^T; M^T L; ...; M^T L^{nd-1}] whose rank is the observability rank.
 
     The definition, kept for library callers and tests; the CLI does not build it.
     """
     _check_pair(L, M)
-    if powers is None:
-        powers = L.nrows
     L_rows = L.to_lists()
     block = linalg.transpose(M.to_lists())
     rows = []
-    for _ in range(powers):
+    for _ in range(L.nrows):
         rows.extend(list(r) for r in block)
         block = linalg.mat_mul(block, L_rows)
     return rows

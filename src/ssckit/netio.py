@@ -2,10 +2,12 @@
 
 A document is a JSON object with fields ``n``, ``d``, ``directed``,
 ``leaders`` and ``edges``. Concrete graphs give every edge a ``weight``
-(d x d array of integers or "p/q" strings); patterns declare ``variables``
-and ``constraints`` instead. Undirected edges are listed once; the parser
-materializes the mirror under the ``symmetry`` convention (default
-"entrywise"). parse -> serialize -> parse is the identity on canonical form.
+(d x d array of integers or "p/q" strings); a document that leaves an edge
+without one, or declares ``variables`` or ``constraints``, is a pattern,
+whose inline weights are ``fixed`` constraints. Undirected edges are listed
+once; the parser materializes the mirror under the ``symmetry`` convention
+(default "entrywise"). parse -> serialize -> parse is the identity on
+canonical form.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .graphs import (
     WeightPattern,
     _mirrored,
     block_from,
+    block_transpose,
+    default_variable_name,
 )
 from .render import block_to_json, dumps
 
@@ -88,13 +92,9 @@ def parse_network(text: str):
     symmetry = doc.get("symmetry", "none" if directed else "entrywise")
     edges_raw = _require(doc, "edges", list, "edges")
 
-    is_pattern = "variables" in doc or "constraints" in doc or any(
-        isinstance(e, dict) and "weight" not in e for e in edges_raw
-    )
-
     edges: list[tuple[int, int]] = []
     first: dict[tuple[int, int], int] = {}  # edge -> index of its entry
-    weights: dict[tuple[int, int], object] = {}
+    weights: dict[tuple[int, int], Block] = {}
     for idx, e in enumerate(edges_raw):
         loc = f"edges[{idx}]"
         if not isinstance(e, dict):
@@ -113,19 +113,18 @@ def parse_network(text: str):
         first[(i, j)] = idx
         edges.append((i, j))
         if "weight" in e:
-            weights[(i, j)] = e["weight"]
+            # each weight is normalised here, once, where its location is known
+            weights[(i, j)] = _parse_block(e["weight"], d, f"{loc}.weight")
 
+    is_pattern = "variables" in doc or "constraints" in doc or len(weights) < len(edges)
     if not is_pattern:
-        # each weight is normalised here, once, where its location is known
-        adjacency = {key: _parse_block(raw, d, f"edges[{first[key]}].weight")
-                     for key, raw in weights.items()}
         try:
-            return MatrixWeightedGraph(n, d, directed, _mirrored(adjacency, directed, symmetry),
+            return MatrixWeightedGraph(n, d, directed, _mirrored(weights, directed, symmetry),
                                        tuple(leaders), symmetry)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    # pattern: named variables, optional inline weights become fixed constraints
+    # pattern: named variables and constraints
     for key in ("variables", "constraints"):
         if not isinstance(doc.get(key, []), list):
             raise ParseError(f"field {key!r} must be a list", key)
@@ -172,8 +171,19 @@ def parse_network(text: str):
         else:
             raise ParseError(f"unknown constraint kind {kind!r}", loc)
 
+    # an inline weight on a pattern edge is shorthand for a fixed constraint on
+    # the block of the stored orientation: A_ij with i < j when undirected, so a
+    # weight listed on (j, i) is transposed under the 'transpose' convention
+    for (i, j), blk in weights.items():
+        if not directed and i > j:
+            i, j = j, i
+            if symmetry == "transpose":
+                blk = block_transpose(blk)
+        name = var_names.get((i, j), default_variable_name(i, j))
+        constraints.append(FixedConstraint(name, blk))
+
     try:
-        pattern = WeightPattern.create(
+        return WeightPattern.create(
             n, d, edges, leaders,
             directed=directed, symmetry=symmetry,
             variable_names=var_names, constraints=constraints,
@@ -181,32 +191,16 @@ def parse_network(text: str):
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
-    # an inline weight on a pattern edge is shorthand for a fixed constraint
-    extra = []
-    name_of = dict(zip(pattern.edges, pattern.variable_names))
-    for (i, j), raw in weights.items():
-        name = name_of[(i, j) if directed else (min(i, j), max(i, j))]
-        extra.append(FixedConstraint(name, _parse_block(raw, d, f"edges[{first[(i, j)]}].weight")))
-    if extra:
-        try:
-            pattern = WeightPattern.create(
-                n, d, pattern.edges, leaders,
-                directed=directed, symmetry=symmetry,
-                variable_names=dict(zip(pattern.edges, pattern.variable_names)),
-                constraints=list(pattern.constraints) + extra,
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return pattern
-
 
 def serialize_network(obj) -> str:
     """Canonical JSON text for a graph or pattern (trailing newline included)."""
+    if not isinstance(obj, (MatrixWeightedGraph, WeightPattern)):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    doc = {"n": obj.n, "d": obj.d, "directed": obj.directed}
+    if not obj.directed:
+        doc["symmetry"] = obj.symmetry
+    doc["leaders"] = list(obj.leaders)
     if isinstance(obj, MatrixWeightedGraph):
-        doc = {"n": obj.n, "d": obj.d, "directed": obj.directed}
-        if not obj.directed:
-            doc["symmetry"] = obj.symmetry
-        doc["leaders"] = list(obj.leaders)
         if obj.directed:
             keys = sorted(obj.adjacency)
         else:
@@ -216,24 +210,18 @@ def serialize_network(obj) -> str:
             for (i, j) in keys
         ]
         return dumps(doc)
-    if isinstance(obj, WeightPattern):
-        doc = {"n": obj.n, "d": obj.d, "directed": obj.directed}
-        if not obj.directed:
-            doc["symmetry"] = obj.symmetry
-        doc["leaders"] = list(obj.leaders)
-        doc["edges"] = [{"i": i, "j": j} for (i, j) in obj.edges]
-        doc["variables"] = [
-            {"edge": [i, j], "name": name}
-            for (i, j), name in zip(obj.edges, obj.variable_names)
-        ]
-        cons = []
-        for c in obj.constraints:
-            if isinstance(c, EqualConstraint):
-                cons.append({"kind": "equal", "args": [c.left, c.right]})
-            elif isinstance(c, FixedConstraint):
-                cons.append({"kind": "fixed", "args": [c.var, block_to_json(c.value)]})
-            else:
-                cons.append({"kind": "sign", "args": [c.var, c.sign]})
-        doc["constraints"] = cons
-        return dumps(doc)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    doc["edges"] = [{"i": i, "j": j} for (i, j) in obj.edges]
+    doc["variables"] = [
+        {"edge": [i, j], "name": name}
+        for (i, j), name in zip(obj.edges, obj.variable_names)
+    ]
+    cons = []
+    for c in obj.constraints:
+        if isinstance(c, EqualConstraint):
+            cons.append({"kind": "equal", "args": [c.left, c.right]})
+        elif isinstance(c, FixedConstraint):
+            cons.append({"kind": "fixed", "args": [c.var, block_to_json(c.value)]})
+        else:
+            cons.append({"kind": "sign", "args": [c.var, c.sign]})
+    doc["constraints"] = cons
+    return dumps(doc)

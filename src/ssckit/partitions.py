@@ -64,19 +64,6 @@ class Partition:
     def k(self) -> int:
         return len(self.cells)
 
-    def nodes(self) -> set[int]:
-        return {v for cell in self.cells for v in cell}
-
-    def covers(self, n: int) -> bool:
-        return self.nodes() == set(range(1, n + 1))
-
-    def cell_index(self, node: int) -> int:
-        """1-based index of the cell containing ``node``."""
-        for idx, cell in enumerate(self.cells, start=1):
-            if node in cell:
-                return idx
-        raise InvalidPartitionError(f"node {node} not covered")
-
     def to_lists(self) -> list[list[int]]:
         return [list(cell) for cell in self.cells]
 
@@ -84,9 +71,10 @@ class Partition:
 def partition_of(cells, n: int) -> Partition:
     """Validate and canonicalize cells as a partition of 1..n."""
     pi = Partition(tuple(tuple(c) for c in cells))
-    if not pi.covers(n):
-        missing = set(range(1, n + 1)) - pi.nodes()
-        extra = pi.nodes() - set(range(1, n + 1))
+    nodes, want = {v for cell in pi.cells for v in cell}, set(range(1, n + 1))
+    if nodes != want:
+        missing = want - nodes
+        extra = nodes - want
         detail = []
         if missing:
             detail.append(f"missing nodes {sorted(missing)}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import itertools
+import json
 import math
 import random
 import sys
@@ -113,6 +114,34 @@ def random_graph(
         m = rng.randint(1, max(1, n - 1))
         leaders = sorted(rng.sample(range(1, n + 1), m))
     return MatrixWeightedGraph.create(n, d, edges, leaders, directed=directed)
+
+
+def inline_weight_documents(kind: str, reversed_edge: bool, named: bool, d: int):
+    """``(inline, explicit, weighted)``: three documents for one 3-node pattern, leader 1.
+
+    ``kind`` is "directed", "entrywise" or "transpose". Edge {1, 2} carries
+    the weight W, listed as (2, 1) when ``reversed_edge`` and named "a" when
+    ``named``; edge (2, 3) is free. ``inline`` gives W inline; ``explicit``
+    gives it as a ``fixed`` constraint on the block of the stored orientation,
+    W^T for a reversed undirected edge under "transpose"; ``weighted`` is the
+    graph with W inline and every other edge weighted too.
+    """
+    W = [[1, 2], [3, 4]] if d == 2 else [[3]]
+    V = [[1, 0], [2, 1]] if d == 2 else [[7]]
+    i, j = (2, 1) if reversed_edge else (1, 2)
+    header = {"n": 3, "d": d, "directed": kind == "directed", "leaders": [1]}
+    if kind != "directed":
+        header["symmetry"] = kind
+    variables = [{"edge": [i, j], "name": "a"}] if named else []
+    name = "a" if named else "w%d_%d" % ((i, j) if kind == "directed" else (1, 2))
+    stored = [list(row) for row in zip(*W)] if kind == "transpose" and reversed_edge else W
+    inline = {**header, "edges": [{"i": i, "j": j, "weight": W}, {"i": 2, "j": 3}],
+              "variables": variables}
+    explicit = {**header, "edges": [{"i": i, "j": j}, {"i": 2, "j": 3}],
+                "variables": variables, "constraints": [{"kind": "fixed", "args": [name, stored]}]}
+    weighted = {**header,
+                "edges": [{"i": i, "j": j, "weight": W}, {"i": 2, "j": 3, "weight": V}]}
+    return json.dumps(inline), json.dumps(explicit), json.dumps(weighted)
 
 
 def random_ep_lift(rng: random.Random, max_cells=4, max_cell_size=3, d_choices=(1, 2)):
@@ -640,14 +669,15 @@ def oracle_feasible_partitions(pattern: WeightPattern, include_same_cell=True):
 
     unknowns = [s for m in syms.values() for s in m]
     zero = sympy.zeros(d, d)
+    edge_of = dict(zip(pattern.variable_names, pattern.edges))
     base_eqs = []
     for c in pattern.constraints:
         kind = type(c).__name__
         if kind == "EqualConstraint":
-            diff = syms[pattern.edge_of(c.left)] - syms[pattern.edge_of(c.right)]
+            diff = syms[edge_of[c.left]] - syms[edge_of[c.right]]
             base_eqs.extend(list(diff))
         elif kind == "FixedConstraint":
-            diff = syms[pattern.edge_of(c.var)] - sympy.Matrix(
+            diff = syms[edge_of[c.var]] - sympy.Matrix(
                 [[sympy.Rational(x) for x in row] for row in c.value]
             )
             base_eqs.extend(list(diff))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_graph, sympy_rank
+from helpers import inline_weight_documents, random_graph, sympy_rank
 from ssckit.cli import COMMANDS, main
 from ssckit.graphs import MatrixWeightedGraph, build_input_matrix, build_laplacian
 from ssckit.krylov import observability_matrix
@@ -217,6 +217,19 @@ def test_bound_command_json(capsys):
     assert doc["verdicts"]["strongly_structurally_controllable"] is False
     assert doc["verdicts"]["max_controllable_dimension"] == 3
     assert doc["seed"] == 0 and doc["backend"] == "exact"
+
+
+@pytest.mark.parametrize("kind", ["directed", "entrywise", "transpose"])
+def test_bound_inline_weight_matches_fixed_constraint(tmp_path, capsys, kind):
+    inline, explicit, _ = inline_weight_documents(kind, True, False, 2)
+    outputs = []
+    for form, text in (("inline", inline), ("explicit", explicit)):
+        path = tmp_path / f"{form}.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, "bound", "--input", str(path), "--format", "json")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_bound_requires_pattern(capsys):

@@ -245,7 +245,7 @@ def test_block_matrix_matmul_dims():
 
 def test_block_from_rejects_nonsquare():
     with pytest.raises(ValueError):
-        block_from([[1, 2], [3, 4], [5, 6]])
+        block_from([[1, 2], [3, 4], [5, 6]], 3)
     with pytest.raises(ValueError):
         block_from([[1, 2]], d=2)
 

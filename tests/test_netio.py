@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_graph
+from helpers import inline_weight_documents, random_graph
 from ssckit.graphs import FixedConstraint, MatrixWeightedGraph, WeightPattern
 from ssckit.netio import ParseError, parse_network, serialize_network
 
@@ -177,6 +177,43 @@ def test_parse_pattern_auto_names_and_inline_fixed():
     fixed = [c for c in p.constraints if isinstance(c, FixedConstraint)]
     assert len(fixed) == 1 and fixed[0].var == "w2_3"
     assert fixed[0].value == ((Fraction(5),),)
+
+
+INLINE_CASES = [
+    pytest.param(kind, reversed_edge, named, d, id="-".join(
+        (kind, "ji" if reversed_edge else "ij", "named" if named else "auto", f"d{d}")))
+    for kind in ("directed", "entrywise", "transpose")
+    for reversed_edge in (False, True)
+    for named in (False, True)
+    for d in (1, 2)
+]
+
+
+@pytest.mark.parametrize("kind,reversed_edge,named,d", INLINE_CASES)
+def test_inline_weight_is_a_fixed_constraint(kind, reversed_edge, named, d):
+    inline, explicit, weighted = inline_weight_documents(kind, reversed_edge, named, d)
+    p = parse_network(inline)
+    assert isinstance(p, WeightPattern)
+    assert p == parse_network(explicit)
+    # the pinned block, materialised, is the weight the document gave the edge
+    (fixed,) = [c for c in p.constraints if isinstance(c, FixedConstraint)]
+    g = parse_network(weighted)
+    assert isinstance(g, MatrixWeightedGraph)
+    assert p.materialize({fixed.var: fixed.value, "w2_3": g.adjacency[(2, 3)]}) == g
+
+
+def test_inline_weights_construct_the_pattern_once(monkeypatch):
+    calls = []
+    original = WeightPattern.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(WeightPattern, "__post_init__", counted)
+    inline, _, _ = inline_weight_documents("transpose", True, True, 2)
+    parse_network(inline)
+    assert len(calls) == 1
 
 
 def test_parse_pattern_bad_constraint():

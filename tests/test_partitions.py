@@ -61,7 +61,6 @@ def test_partition_canonical_form():
     pi = Partition(((4, 3), (1,), (2,)))
     assert pi.cells == ((1,), (2,), (3, 4))
     assert pi.k == 3
-    assert pi.cell_index(4) == 3
 
 
 def test_partition_validation():
