@@ -48,9 +48,9 @@ from .ssc import (
     DEFAULT_SAMPLES,
     MODES,
     EnumerationCapError,
+    _reversal_of_edges,
     estimate_ssc_dimension,
     invariant_node_report,
-    reversal_check,
 )
 
 EXIT_OK = 0
@@ -230,7 +230,7 @@ def cmd_dual(cfg: argparse.Namespace) -> int:
     g = _load_graph(cfg)
     nd = g.n * g.d
     # den * L as sparse integer rows, read from the edges; L^T by a sparse transpose
-    _, out, values = integer_edges(g.n, g.d, g.adjacency)
+    den, out, values = integer_edges(g.n, g.d, g.adjacency)
     L_int = laplacian_rows(g.n, g.d, out, values)
     Lt_int = [[] for _ in range(nd)]
     for r, row in enumerate(L_int):
@@ -241,7 +241,7 @@ def cmd_dual(cfg: argparse.Namespace) -> int:
     M_cols = [[int(x) for x in col] for col in zip(*M.entries)]
     # the observability matrix of (L, M) is the transpose of the Krylov matrix of (L^T, M)
     dim = controllable_dim(Lt_int, M_cols, support_bound(Lt_int, M_cols), cfg.backend)
-    rev = reversal_check(g)
+    rev = _reversal_of_edges(g.n, g.d, den, out, values)
     if cfg.fmt == "json":
         sys.stdout.write(dumps({
             "self_dual": self_dual,
@@ -294,8 +294,14 @@ COMMANDS = {
 }
 
 
+_parser: _Parser | None = None  # built by the first main(), not at import
+
+
 def main(argv=None) -> int:
-    cfg = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    cfg = _parser.parse_args(argv)
     try:
         if cfg.samples < 1:
             raise ValueError("--samples must be >= 1")

@@ -30,10 +30,11 @@ def block_from(data, d: int) -> Block:
     """Normalize a list of rows (or a bare scalar) into a d x d Fraction block."""
     if isinstance(data, (int, str, float, Fraction)):
         data = [[data]]
-    if not (isinstance(data, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in data)):
+    if not (isinstance(data, (list, tuple)) and all([isinstance(r, (list, tuple)) for r in data])):
         raise ValueError("weight block must be a scalar or a list of rows")
-    rows = tuple(tuple(as_fraction(x) for x in row) for row in data)
-    if not rows or any(len(row) != len(rows) for row in rows):
+    rows = tuple([tuple([Fraction(x) if type(x) is int else as_fraction(x) for x in row])
+                  for row in data])
+    if not rows or any([len(row) != len(rows) for row in rows]):
         raise ValueError("weight block must be square")
     if len(rows) != d:
         raise ValueError(f"weight block is {len(rows)}x{len(rows)}, expected {d}x{d}")
@@ -53,7 +54,7 @@ def block_transpose(a: Block) -> Block:
 
 
 def block_is_zero(a: Block) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return not any(map(any, a))
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +254,13 @@ def integer_edges(n: int, d: int, adjacency: Mapping[Edge, Block]):
     denominators; ``out[r]`` lists ``(t, cols)`` per edge (r, t), with
     A_rt[p][q] at ``values[cols[p*d + q]]``, the form ``laplacian_rows`` reads.
     """
-    den = math.lcm(*(x.denominator for blk in adjacency.values() for row in blk for x in row))
+    entries = [x for blk in adjacency.values() for row in blk for x in row]
+    den = math.lcm(*{x.denominator for x in entries})
+    values = [x.numerator * (den // x.denominator) for x in entries]
     out: dict[int, list] = {v: [] for v in range(1, n + 1)}
-    values: list[int] = []
-    for (i, j), blk in adjacency.items():
-        base = len(values)
-        values.extend(x.numerator * (den // x.denominator) for row in blk for x in row)
-        out[i].append((j, range(base, base + d * d)))
+    size = d * d
+    for k, (i, j) in enumerate(adjacency):
+        out[i].append((j, range(k * size, (k + 1) * size)))
     return den, out, values
 
 

@@ -33,6 +33,8 @@ def as_fraction(value) -> Fraction:
     Floats are read through their decimal repr, so 0.1 becomes 1/10 rather
     than the binary expansion.
     """
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool):
         raise ValueError("boolean is not a scalar weight")
     if isinstance(value, Fraction):

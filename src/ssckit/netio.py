@@ -30,8 +30,8 @@ from .render import block_to_json, dumps
 
 # Largest state dimension n*d a document may declare. `laplacian` builds dense
 # nd x nd Fraction matrices (`quotient` a kd x kd one; `dual` only sparse integer
-# rows; `ep` none, at O(edges + n) per refinement round), so a larger document is
-# refused as a bad argument (exit 3) before anything is built.
+# rows; `ep` none, refining by a splitter worklist in O(edges * log n)), so a
+# larger document is refused as a bad argument (exit 3) before anything is built.
 MAX_STATE_DIM = 1024
 
 
@@ -54,7 +54,7 @@ def _require(doc: dict, key: str, types, location: str):
 
 def _is_int(x) -> bool:
     """A JSON integer: bool is an int subclass in Python but not one in JSON."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int  # json.loads makes exact ints, and bools of type bool
 
 
 def _parse_block(raw, d: int, location: str) -> Block:

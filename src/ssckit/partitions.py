@@ -8,9 +8,10 @@ condition L P = P Q of Laplacian dynamics. There is no in-sum variant; an
 in-sum EP of a digraph need not be L^T-invariant, and ``dual`` analyses the
 pair (L^T, M) by Krylov ranks instead. The quotient graph carries the sums as
 directed block weights, and its Laplacian satisfies the exact lift identity
-L P = P L_q certified by verify_lift. The EP test, the refinement and the
-quotient read every block sum from one ``graphs.cell_sums`` table (one pass over
-the edges) per call, or per refinement round.
+L P = P L_q certified by verify_lift. The EP test and the quotient read every
+block sum from one ``graphs.cell_sums`` table, one pass over the edges per
+call. The refinement reads the edges once, as ``graphs.integer_edges``, and
+then sums only the edges into each splitter cell it takes from its worklist.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .graphs import (
     block_is_zero,
     block_zeros,
     cell_sums,
+    integer_edges,
     laplacian_of,
 )
 
@@ -150,33 +152,66 @@ def verify_equitable(g: MatrixWeightedGraph, pi: Partition,
 def coarsest_ep(g: MatrixWeightedGraph, protected=()) -> Partition:
     """Coarsest equitable partition keeping each protected node in a singleton cell.
 
-    Each round reads every node's block sums into the current cells from one
-    ``cell_sums`` table and splits each cell by its nodes' nonzero sums; a
-    round that adds no cell ends the loop, so at most n rounds run.
+    Splitter worklist over the integer edge table (Paige & Tarjan 1987, in the
+    weighted form of Valmari & Franceschinis 2010). A popped cell S gives each
+    node with an edge into it its block out-sum into S (a sum that cancels to
+    zero counts as no edge), and every cell holding such a node splits by those
+    sums. The largest part keeps the old cell's id, and its place in the queue;
+    every other part is queued. A cell left out of the queue needs no pass:
+    the nodes of any cell have equal sums into the old cell, so equal sums into
+    the queued parts leave equal sums into the largest one. A queued part is
+    at most half its old cell, so each node is summed over O(log n) times and
+    the work is O(m log n).
     """
     protected = sorted(set(int(v) for v in protected))
     for v in protected:
         if not 1 <= v <= g.n:
             raise ValueError(f"protected node {v} out of range 1..{g.n}")
-    rest = [v for v in range(1, g.n + 1) if v not in protected]
-    cells: list[tuple[int, ...]] = [(v,) for v in protected]
-    if rest:
-        cells.append(tuple(rest))
-
-    while True:
-        sums = cell_sums(g, cells)
-        new_cells: list[tuple[int, ...]] = []
-        for cell in cells:
-            groups: dict[frozenset, list[int]] = {}
-            for v in cell:
-                # edges into a cell that cancel count as no edges there
-                sig = frozenset((c, blk) for c, blk in sums.get(v, {}).items()
-                                if not block_is_zero(blk))
-                groups.setdefault(sig, []).append(v)
-            new_cells.extend(tuple(members) for members in sorted(groups.values()))
-        if len(new_cells) == len(cells):
-            return Partition(tuple(cells))
-        cells = new_cells
+    rest = set(range(1, g.n + 1)).difference(protected)
+    cells: list[set[int]] = [{v} for v in protected] + ([rest] if rest else [])
+    cell_of = {v: c for c, cell in enumerate(cells) for v in cell}
+    # into[t] lists (r, A_rt as a tuple of integers over a common denominator)
+    _, out, values = integer_edges(g.n, g.d, g.adjacency)
+    into: dict[int, list] = {v: [] for v in range(1, g.n + 1)}
+    for r, edges in out.items():
+        for t, cols in edges:
+            into[t].append((r, tuple([values[c] for c in cols])))
+    queue = list(range(len(cells)))
+    while queue and len(cells) < g.n:  # all singletons: nothing left to split
+        s = queue.pop()
+        sums: dict[int, tuple] = {}
+        for t in cells[s]:
+            for r, blk in into[t]:
+                acc = sums.get(r)
+                sums[r] = blk if acc is None else tuple([a + b for a, b in zip(acc, blk)])
+        touched: dict[int, dict[tuple, list[int]]] = {}
+        for r, acc in sums.items():
+            if any(acc):
+                touched.setdefault(cell_of[r], {}).setdefault(acc, []).append(r)
+        for c, groups in touched.items():
+            cell = cells[c]
+            parts = list(groups.values())
+            unmoved = len(cell) - sum(map(len, parts))  # nodes with no sum into S
+            if not unmoved and len(parts) == 1:
+                continue
+            largest = max(parts, key=len)
+            if unmoved >= len(largest):
+                # the unmoved nodes keep the cell, and are never scanned
+                for part in parts:
+                    cell.difference_update(part)
+            else:
+                parts.remove(largest)  # the parts are disjoint: only itself is equal
+                cells[c] = set(largest)
+                if unmoved:  # fewer than the moved nodes, so the scan is cheap
+                    moved = set().union(*groups.values())
+                    parts.append([v for v in cell if v not in moved])
+            for part in parts:
+                idx = len(cells)
+                cells.append(set(part))
+                for v in part:
+                    cell_of[v] = idx
+                queue.append(idx)
+    return Partition(tuple(tuple(cell) for cell in cells))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .graphs import Block, BlockMatrix
 from .partitions import EPReport, Partition, QuotientGraph
@@ -68,4 +69,53 @@ def quotient_to_dict(q: QuotientGraph) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` plus a newline, written in one pass."""
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+# the scalars written here; every other scalar goes to json.dumps
+_SCALARS = {int: repr, str: encode_basestring_ascii}
+
+
+def _write(x, nl: str, emit) -> None:
+    # ``nl`` is a newline plus the indent of the line x starts on; json.dumps
+    # output of a value not written here is re-indented to that depth
+    t = type(x)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        emit(scalar(x))
+    elif t is list or t is tuple:
+        if not x:
+            emit("[]")
+            return
+        inner = nl + "  "
+        if all([type(v) in _SCALARS for v in x]):
+            items = ("," + inner).join([_SCALARS[type(v)](v) for v in x])
+            emit("[" + inner + items + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            emit(sep)
+            _write(v, inner, emit)
+            sep = "," + inner
+        emit(nl + "]")
+    elif t is dict and all([type(k) is str for k in x]):
+        if not x:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            scalar = _SCALARS.get(type(v))
+            if scalar is not None:
+                emit(sep + encode_basestring_ascii(k) + ": " + scalar(v))
+            else:
+                emit(sep + encode_basestring_ascii(k) + ": ")
+                _write(v, inner, emit)
+            sep = "," + inner
+        emit(nl + "}")
+    else:
+        emit(json.dumps(x, indent=2).replace("\n", nl))

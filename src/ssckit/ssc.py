@@ -682,14 +682,16 @@ def reversal_check(g: MatrixWeightedGraph) -> ReversalReport:
     L^T has -A_ji^T there and the transposed out-sum of i. So a block can
     differ only on the diagonal or at an edge whose block is not symmetric.
     """
-    d = g.d
-    # per node: its in-sum and its transposed out-sum, entry p*d+q, as
-    # integers over the common denominator of the weights
-    den, out, values = integer_edges(g.n, d, g.adjacency)
-    in_sum = {v: [0] * (d * d) for v in range(1, g.n + 1)}
-    out_t = {v: [0] * (d * d) for v in range(1, g.n + 1)}
+    return _reversal_of_edges(g.n, g.d, *integer_edges(g.n, g.d, g.adjacency))
+
+
+def _reversal_of_edges(n: int, d: int, den: int, out, values) -> ReversalReport:
+    # ``reversal_check`` on the graph's ``integer_edges`` table; per node: its
+    # in-sum and its transposed out-sum, entry p*d+q, as integers over ``den``
+    in_sum = {v: [0] * (d * d) for v in range(1, n + 1)}
+    out_t = {v: [0] * (d * d) for v in range(1, n + 1)}
     mismatches = []
-    for j in range(1, g.n + 1):
+    for j in range(1, n + 1):
         for i, cols in out[j]:
             blk = [values[c] for c in cols]  # A_ji, row-major
             t = [blk[q * d + p] for p in range(d) for q in range(d)]
@@ -698,13 +700,19 @@ def reversal_check(g: MatrixWeightedGraph) -> ReversalReport:
                 acc_in[k] += blk[k]
                 acc_out[k] += t[k]
             if t != blk:
-                mismatches.append((i, j, _block([-x for x in blk], den, d),
-                                   _block([-x for x in t], den, d)))
-    for v in range(1, g.n + 1):
+                mismatches.append((i, j, [-x for x in blk], [-x for x in t]))
+    for v in range(1, n + 1):
         if in_sum[v] != out_t[v]:
-            mismatches.append((v, v, _block(in_sum[v], den, d), _block(out_t[v], den, d)))
+            mismatches.append((v, v, in_sum[v], out_t[v]))
     mismatches.sort(key=lambda m: m[:2])
-    return ReversalReport(not mismatches, tuple(mismatches))
+    # one Fraction per distinct entry, shared by the blocks that hold it
+    fracs = {x: Fraction(x, den) for x in {x for m in mismatches for flat in m[2:] for x in flat}}
+
+    def block(flat) -> Block:
+        return tuple(tuple([fracs[x] for x in flat[p * d:(p + 1) * d]]) for p in range(d))
+
+    return ReversalReport(not mismatches,
+                          tuple((i, j, block(a), block(b)) for i, j, a, b in mismatches))
 
 
 def _block(flat, den: int, d: int) -> Block:

@@ -379,6 +379,48 @@ def test_dual_at_the_largest_admitted_size_in_seconds(tmp_path, capsys, name):
     assert result["self_dual"] is self_dual and result["reversal"]["holds"] is self_dual
 
 
+LARGEST_EPS = {
+    # name: coarsest leader-protected EP of the LARGEST_DUALS document
+    "path": [[v] for v in range(1, 1001)],
+    "star": [[1], list(range(2, 1001))],
+    "k2_998": [[1], [2], list(range(3, 1001))],
+    "directed_path": [[v] for v in range(1, 1001)],
+}
+
+
+@pytest.mark.parametrize("command,key,limit", [("ep", "coarsest_ep", 0.2),
+                                               ("quotient", "partition", 2)])
+@pytest.mark.parametrize("name", sorted(LARGEST_EPS))
+def test_ep_and_quotient_at_the_largest_admitted_size(tmp_path, capsys, name, command, key,
+                                                      limit):
+    # n = 1000, d = 1, led from node 1. On 2 cores with CPython 3.11 the
+    # whole ep call took at most 0.03 s, and quotient, which prints the dense
+    # Laplacian of up to 1000 cells (9 MB of JSON), at most 0.5 s.
+    doc, _, _ = LARGEST_DUALS[name]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": 1000, "d": 1, "leaders": [1], **doc}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, command, "--input", str(path), "--format", "json")
+    assert time.perf_counter() - start < limit
+    assert code == 0
+    assert json.loads(out)[key] == LARGEST_EPS[name]
+
+
+def test_successive_calls_do_not_share_options(capsys):
+    # main() builds its parser once; each call still starts from the defaults
+    diamond = str(FIXTURES / "diamond.json")
+    code, first, _ = run(capsys, "ep", "--input", diamond, "--partition", "[[1],[2],[3,4]]",
+                         "--seed", "7", "--format", "json")
+    assert code == 0 and json.loads(first)["verdict"] is False
+    code, second, _ = run(capsys, "ep", "--input", diamond, "--format", "json")
+    assert code == 0 and json.loads(second) == {"coarsest_ep": [[1], [2, 3], [4]], "cells": 3}
+    pattern = str(FIXTURES / "diamond_pattern.json")
+    outputs = [run(capsys, "bound", "--input", pattern, "--format", "json", *seed)
+               for seed in (["--seed", "7"], [], ["--seed", "0"])]
+    assert outputs[0][1] != outputs[1][1] == outputs[2][1]
+
+
+
 @pytest.mark.parametrize("command", ["laplacian", "bound", "dual"])
 def test_state_dimension_limit_exit3(tmp_path, capsys, command):
     # refused on n*d alone, before any n-sized object is built

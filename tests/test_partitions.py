@@ -282,6 +282,66 @@ def test_coarsest_ep_cancelling_sums_count_as_no_edges():
     assert coarsest_ep(g, (1,)) == reference_coarsest_ep(g, (1,)) == want
 
 
+@st.composite
+def refinable_graphs(draw, max_n):
+    """(graph, protected nodes) with many nodes of equal sums, d = 1..3.
+
+    A directed, entrywise or transpose circulant on 1..n (every node has an
+    edge at each drawn offset, with that offset's block) plus a few edges
+    drawn at random. Entries lie in -1..1. An offset may carry the negated
+    block of another, and a few nodes get a pair of edges with opposite
+    blocks, so sums into a cell often cancel to zero.
+    """
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("directed", "entrywise", "transpose")))
+    directed = kind == "directed"
+    row = st.lists(st.integers(-1, 1), min_size=d, max_size=d)
+    block = st.lists(row, min_size=d, max_size=d).filter(lambda b: any(any(r) for r in b))
+    edges = {}
+
+    def put(u, v, blk):
+        if not directed:
+            edges.pop((v, u), None)  # one orientation; the graph mirrors it
+        edges[(u, v)] = blk
+
+    offsets = st.integers(1, max(1, n - 1))
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        blk = draw(block)
+        shifts = [(draw(offsets), blk)]
+        if draw(st.booleans()):
+            shifts.append((draw(offsets), [[-x for x in r] for r in blk]))
+        for s, b in shifts:
+            for u in range(1, n + 1):
+                put(u, (u - 1 + s) % n + 1, b)
+    nodes = st.integers(1, n)
+    for u, v in draw(st.lists(st.tuples(nodes, nodes), max_size=3)):
+        if u != v:
+            put(u, v, draw(block))
+    for u, v, w in draw(st.lists(st.tuples(nodes, nodes, nodes), max_size=3)):
+        if len({u, v, w}) == 3:
+            blk = draw(block)
+            put(u, v, blk)
+            put(u, w, [[-x for x in r] for r in blk])
+    g = MatrixWeightedGraph.create(n, d, edges, [1], directed=directed,
+                                   symmetry=None if directed else kind)
+    return g, draw(st.lists(nodes, max_size=4))
+
+
+@given(refinable_graphs(40))
+@settings(max_examples=150, deadline=None)
+def test_coarsest_ep_matches_the_reference_up_to_40_nodes(case):
+    g, protected = case
+    assert coarsest_ep(g, protected) == reference_coarsest_ep(g, protected)
+
+
+@given(refinable_graphs(6))
+@settings(max_examples=100, deadline=None)
+def test_coarsest_ep_matches_brute_force_up_to_6_nodes(case):
+    g, protected = case
+    assert coarsest_ep(g, protected) == brute_force_coarsest(g, protected)
+
+
 # ---------------------------------------------------------------------------
 # quotients and the lift identity
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ssckit.graphs import BlockMatrix
 from ssckit.partitions import Partition
-from ssckit.render import block_to_json, format_block, format_block_matrix, partition_to_text
+from ssckit.render import (
+    block_to_json,
+    dumps,
+    format_block,
+    format_block_matrix,
+    partition_to_text,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -35,6 +45,23 @@ def test_format_block_and_partition():
     bm = BlockMatrix.from_rows([[Fraction(-1, 2), 3]], 1, 2, 1)
     assert format_block_matrix(bm) == "[ -1/2 |    3 ]"
     assert block_to_json(bm.entries) == [["-1/2", 3]]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(min_value=-10**80, max_value=10**80),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=2)),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_dumps_matches_the_stdlib_encoder(value):
+    # non-ASCII text, big ints, bools, None, floats, empty and int-keyed containers
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_module_entry_point():
